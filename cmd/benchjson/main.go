@@ -619,7 +619,7 @@ func main() {
 		entries = append(entries, bench(fmt.Sprintf("solve-stream/w=%d/n=%d/%s", tw, nd, name), metrics, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < 64; i++ {
-				tk, err := s.SubmitSolveInto(gdst, ag, dg, tw, core.EngineCompiled)
+				tk, err := s.SubmitSolveIntoOpts(gdst, ag, dg, tw, solve.Options{Engine: core.EngineCompiled})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -629,7 +629,7 @@ func main() {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tk, err := s.SubmitSolveInto(gdst, ag, dg, tw, core.EngineCompiled)
+				tk, err := s.SubmitSolveIntoOpts(gdst, ag, dg, tw, solve.Options{Engine: core.EngineCompiled})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -642,7 +642,7 @@ func main() {
 		// Solve QPS: a 128-deep pipeline of in-flight solve tickets — the
 		// solves/sec row the BENCH trajectory was missing.
 		gdsts := make([]matrix.Vector, depth)
-		gtickets := make([]stream.SolvePassTicket, depth)
+		gtickets := make([]stream.Ticket[solve.SolveStats], depth)
 		for k := range gdsts {
 			gdsts[k] = make(matrix.Vector, nd)
 		}
@@ -651,7 +651,7 @@ func main() {
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < depth; k++ {
 					var err error
-					if gtickets[k], err = s.SubmitSolveInto(gdsts[k], ag, dg, tw, core.EngineCompiled); err != nil {
+					if gtickets[k], err = s.SubmitSolveIntoOpts(gdsts[k], ag, dg, tw, solve.Options{Engine: core.EngineCompiled}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -554,8 +554,7 @@ func solverCase(rng *rand.Rand, maxw int) {
 
 // streamCase drives a mixed-shape slice of problems through a stream
 // scheduler at a random shard count and checks every redeemed ticket —
-// results and stats — bit-for-bit against serial solves, plus the batch
-// adapter against the core batch API.
+// results and stats — bit-for-bit against serial solves.
 func streamCase(rng *rand.Rand, maxw int) {
 	w := 1 + rng.Intn(maxw)
 	shards := 1 + rng.Intn(4)
@@ -564,9 +563,9 @@ func streamCase(rng *rand.Rand, maxw int) {
 
 	count := 6 + rng.Intn(10)
 	mvp := make([]core.MatVecProblem, 0, count)
-	mvTickets := make([]stream.MatVecTicket, 0, count)
+	mvTickets := make([]stream.Ticket[*core.MatVecResult], 0, count)
 	mmp := make([]core.MatMulProblem, 0, count)
-	mmTickets := make([]stream.MatMulTicket, 0, count)
+	mmTickets := make([]stream.Ticket[*core.MatMulResult], 0, count)
 	// A couple of shapes recycled across the stream — the affinity path.
 	shapes := [][2]int{{1 + rng.Intn(3*w), 1 + rng.Intn(3*w)}, {1 + rng.Intn(3*w), 1 + rng.Intn(3*w)}}
 	for i := 0; i < count; i++ {
@@ -679,23 +678,6 @@ func streamCase(rng *rand.Rand, maxw int) {
 			fail("stream matmul %d differs from serial (w=%d shards=%d)", i, w, shards)
 		}
 	}
-	// Batch adapter differential: the scheduler's batch helper must equal
-	// the core batch API (itself checked against serial in batchCase).
-	if len(mvp) > 0 {
-		sb, err := s.MatVecBatch(w, mvp)
-		if err != nil {
-			fail("stream batch: %v", err)
-			return
-		}
-		cb, err := core.NewMatVecSolver(w).SolveBatch(mvp)
-		if err != nil {
-			fail("core batch: %v", err)
-			return
-		}
-		if !reflect.DeepEqual(sb, cb) {
-			fail("stream batch differs from core batch (w=%d shards=%d)", w, shards)
-		}
-	}
 }
 
 // solveStreamCase is the solve-as-a-service differential: random
@@ -725,7 +707,7 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 	ds := make([]matrix.Vector, count)
 	refs := make([]ref, count)
 	full := make([]stream.SolveTicket, count)
-	into := make([]stream.SolvePassTicket, count)
+	into := make([]stream.Ticket[solve.SolveStats], count)
 	dsts := make([]matrix.Vector, count)
 	for i := 0; i < count; i++ {
 		n := sizes[i%len(sizes)]
@@ -751,12 +733,12 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 		if rng.Intn(4) == 0 {
 			q.Priority = stream.Low
 		}
-		if full[i], err = s.SubmitSolveQoS(a, d, w, eng, q); err != nil {
+		if full[i], err = s.SubmitSolveOpts(a, d, w, solve.Options{Engine: eng}, q); err != nil {
 			fail("solve-stream submit: %v", err)
 			return
 		}
 		dsts[i] = make(matrix.Vector, n)
-		if into[i], err = s.SubmitSolveInto(dsts[i], a, d, w, eng); err != nil {
+		if into[i], err = s.SubmitSolveIntoOpts(dsts[i], a, d, w, solve.Options{Engine: eng}); err != nil {
 			fail("solve-stream submit Into: %v", err)
 			return
 		}
@@ -785,7 +767,7 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 	sing.Set(0, 1, 1)
 	sing.Set(1, 0, 1)
 	sing.Set(1, 1, 1)
-	stk, err := s.SubmitSolve(sing, matrix.Vector{1, 2}, w, core.EngineCompiled)
+	stk, err := s.SubmitSolveOpts(sing, matrix.Vector{1, 2}, w, solve.Options{Engine: core.EngineCompiled})
 	if err != nil {
 		fail("solve-stream singular submit: %v", err)
 		return
@@ -800,7 +782,7 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 		fail("solve-stream post-singular reference: %v", err)
 		return
 	}
-	gtk, err := s.SubmitSolve(good, matrix.Vector{1, 2}, w, core.EngineAuto)
+	gtk, err := s.SubmitSolveOpts(good, matrix.Vector{1, 2}, w, solve.Options{Engine: core.EngineAuto})
 	if err != nil {
 		fail("solve-stream post-singular submit: %v", err)
 		return
@@ -928,7 +910,7 @@ func conditioningCase(rng *rand.Rand, maxw int) {
 	// The stream runtime must redeem the same system to the same bits.
 	s := stream.New(stream.Config{Shards: 1 + rng.Intn(3)})
 	defer s.Close()
-	tk, serr2 := s.SubmitSolveOpts(a, d, w, opts, stream.QoS{})
+	tk, serr2 := s.SubmitSolveOpts(a, d, w, opts)
 	if serr2 != nil {
 		fail("conditioning %s stream submit: %v", kinds[kind], serr2)
 		return
@@ -964,7 +946,7 @@ func chaosCase(rng *rand.Rand, maxw int) {
 
 	count := 12 + rng.Intn(12)
 	problems := make([]core.MatVecProblem, 0, count)
-	tickets := make([]stream.MatVecTicket, 0, count)
+	tickets := make([]stream.Ticket[*core.MatVecResult], 0, count)
 	var sheds, accepted int
 	for i := 0; i < count; i++ {
 		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
@@ -980,7 +962,7 @@ func chaosCase(rng *rand.Rand, maxw int) {
 		if i%2 == 0 {
 			q.Deadline = time.Now().Add(time.Hour) // live, never binding
 		}
-		tk, err := s.SubmitMatVecQoS(w, p, q)
+		tk, err := s.SubmitMatVec(w, p, q)
 		if err != nil {
 			if !errors.Is(err, stream.ErrSaturated) && !errors.Is(err, stream.ErrDeadlineExceeded) {
 				fail("chaos submit %d failed with untyped error: %v", i, err)

@@ -38,9 +38,7 @@ func (ws *Workspace) refine(a *matrix.Dense, d matrix.Vector, opts Options) erro
 		norm := 0.0
 		for i := range ws.resid {
 			ws.resid[i] = d[i] - ws.resid[i]
-			if v := math.Abs(ws.resid[i]); v > norm {
-				norm = v
-			}
+			norm = maxAbs(norm, ws.resid[i])
 		}
 		tol := opts.Refine.Tol
 		if tol <= 0 {
@@ -100,20 +98,25 @@ func refineTol(a *matrix.Dense, x, d matrix.Vector) float64 {
 		for _, v := range a.RawRow(i) {
 			s += math.Abs(v)
 		}
-		if s > normA {
-			normA = s
-		}
+		normA = maxAbs(normA, s)
 	}
 	normX, normD := 0.0, 0.0
 	for _, v := range x {
-		if v := math.Abs(v); v > normX {
-			normX = v
-		}
+		normX = maxAbs(normX, v)
 	}
 	for _, v := range d {
-		if v := math.Abs(v); v > normD {
-			normD = v
-		}
+		normD = maxAbs(normD, v)
 	}
 	return 64 * refineEps * (normA*normX + normD)
+}
+
+// maxAbs folds |v| into the running ∞-norm m. NaN propagates: once any
+// term is NaN the norm stays NaN, so a non-finite vector can never measure
+// small and pass a `norm <= tol` test. On finite inputs it is exactly the
+// plain running maximum.
+func maxAbs(m, v float64) float64 {
+	if v = math.Abs(v); v > m || math.IsNaN(v) {
+		return v
+	}
+	return m
 }

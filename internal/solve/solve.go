@@ -14,7 +14,6 @@ package solve
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -221,9 +220,7 @@ func residual(a *matrix.Dense, x, d matrix.Vector) float64 {
 		for j, v := range a.RawRow(i) {
 			s += v * x[j]
 		}
-		if v := math.Abs(s - d[i]); v > r {
-			r = v
-		}
+		r = maxAbs(r, s-d[i])
 	}
 	return r
 }

@@ -139,3 +139,38 @@ func TestSolveValidation(t *testing.T) {
 		t.Errorf("err = %#v, want a *SingularError at pivot 1", err)
 	}
 }
+
+// TestNonFiniteNeverMeasuresSmall pins the NaN-propagating ∞-norm: a
+// solve or iteration whose answer went non-finite must not report a
+// residual of 0 or claim convergence. Before the norm propagated NaN,
+// `if v > norm` skipped every NaN term, so each case below returned
+// err=nil with Residual=0 (and the refined solve Converged:true).
+func TestNonFiniteNeverMeasuresSmall(t *testing.T) {
+	tiny := matrix.FromRows([][]float64{{1e-320, 1}, {1, 1}})
+	d := matrix.Vector{1, 2}
+
+	x, stats, err := Solve(tiny, d, 2, Options{})
+	if err == nil && !math.IsNaN(stats.Residual) {
+		t.Errorf("subnormal pivot: x=%v Residual=%v err=nil, want a NaN residual or an error", x, stats.Residual)
+	}
+
+	_, _, err = Solve(tiny, d, 2, Options{Refine: RefineOptions{MaxIters: 3}})
+	var cerr *IllConditionedError
+	if !errors.As(err, &cerr) {
+		t.Errorf("refined subnormal pivot: err=%v, want *IllConditionedError", err)
+	} else if cerr.Report.Converged {
+		t.Errorf("refined subnormal pivot reported convergence: %+v", cerr.Report)
+	}
+
+	div := matrix.FromRows([][]float64{{1, 3, 3}, {3, 1, 3}, {3, 3, 1}})
+	ones := matrix.Vector{1, 1, 1}
+	for name, iterate := range map[string]func() (matrix.Vector, *IterStats, error){
+		"Jacobi":      func() (matrix.Vector, *IterStats, error) { return Jacobi(div, ones, 2, 400, 1e-10, Options{}) },
+		"GaussSeidel": func() (matrix.Vector, *IterStats, error) { return GaussSeidel(div, ones, 2, 400, 1e-10, Options{}) },
+	} {
+		x, stats, err := iterate()
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("%s on a divergent system: x=%v Residual=%v err=%v, want ErrNoConvergence", name, x, stats.Residual, err)
+		}
+	}
+}

@@ -15,10 +15,10 @@
 // singular system (*solve.SingularError) returns 422 with the pivot index,
 // an unconverged refinement (*solve.IllConditionedError) returns 422 with
 // the condition report, malformed requests return 400, a closed stream
-// returns 503, anything else (a recovered job panic, say) returns 500. The
-// handler holds no state of its own beyond the scheduler: every request is
-// one ticket, submitted with the request's QoS and redeemed before the
-// response is written.
+// returns 503, anything else (a recovered job panic, or a solution JSON
+// cannot carry, such as a NaN) returns 500. The handler holds no state of
+// its own beyond the scheduler: every request is one ticket, submitted
+// with the request's QoS and redeemed before the response is written.
 package solved
 
 import (
@@ -322,9 +322,19 @@ func writeError(rw http.ResponseWriter, status int, err error) {
 	writeJSON(rw, status, ErrorResponse{Error: err.Error()})
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. The body is encoded before
+// the status goes out, so a value JSON cannot represent (a NaN in a
+// solution, say) becomes a 500 carrying an ErrorResponse, never a 200 with
+// an empty body.
 func writeJSON(rw http.ResponseWriter, status int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// An ErrorResponse holding only a string always encodes.
+		body, _ = json.Marshal(ErrorResponse{Error: fmt.Sprintf("solved: encoding the response: %v", err)})
+	}
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(v)
+	// A failed write means the client is gone; there is no one left to tell.
+	_, _ = rw.Write(append(body, '\n'))
 }

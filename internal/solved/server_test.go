@@ -2,6 +2,7 @@ package solved
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -107,6 +108,26 @@ func TestSolveEndpoint422Singular(t *testing.T) {
 	}
 	if got.Error == "" {
 		t.Error("422 response carries no error message")
+	}
+}
+
+// TestSolveEndpointNonFinite: a system whose unpivoted solve goes
+// non-finite (a subnormal leading pivot gives x=[NaN NaN], which JSON
+// cannot carry) must not come back as a 200 with an empty body: the
+// status is an error and the body a decodable ErrorResponse.
+func TestSolveEndpointNonFinite(t *testing.T) {
+	ts, _ := newTestServer(t, stream.Config{Shards: 1})
+	var got ErrorResponse
+	resp := postSolve(t, ts, Request{
+		A: [][]float64{{1e-320, 1}, {1, 1}},
+		D: []float64{1, 2},
+		W: 2,
+	}, &got)
+	if resp.StatusCode == http.StatusOK {
+		t.Fatalf("status 200 for a non-finite solution, want an error status")
+	}
+	if got.Error == "" {
+		t.Errorf("status %d response carries no error message", resp.StatusCode)
 	}
 }
 
@@ -252,7 +273,7 @@ func TestWriteFailurePrecedence(t *testing.T) {
 	srv := New(Config{Stream: s})
 	// Manufacture the exact double-wrapped shape SubmitWithRetry returns
 	// when its deadline runs out against a saturated scheduler.
-	gaveUp := stream.SubmitWithRetry(stream.Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
+	gaveUp := stream.SubmitWithRetry(context.Background(), stream.Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
 		return stream.ErrSaturated
 	})
 	if !errors.Is(gaveUp, stream.ErrDeadlineExceeded) || !errors.Is(gaveUp, stream.ErrSaturated) {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Priority is a job's admission class. The zero value is High, so the
-// plain Submit* methods keep their original blocking semantics.
+// Priority is a job's admission class. The zero value is High, so a
+// submission without a QoS keeps the blocking semantics.
 type Priority uint8
 
 const (
@@ -34,8 +34,9 @@ func (p Priority) String() string {
 	return fmt.Sprintf("Priority(%d)", int(p))
 }
 
-// QoS attaches latency requirements to a submission. The zero value means
-// no deadline and High priority — exactly the plain Submit* behavior.
+// QoS attaches latency requirements to a submission: every Submit* method
+// takes at most one as its optional last argument. The zero value means
+// no deadline and High priority — exactly a submission without a QoS.
 type QoS struct {
 	// Deadline is the job's absolute completion deadline; the zero Time
 	// means none. Admission sheds the job up front — a *DeadlineError

@@ -38,7 +38,7 @@ func TestExpiryWhileQueued(t *testing.T) {
 	<-running
 
 	deadline := time.Now().Add(10 * time.Millisecond)
-	tk, err := s.SubmitMatVecQoS(2, p, QoS{Deadline: deadline})
+	tk, err := s.SubmitMatVec(2, p, QoS{Deadline: deadline})
 	if err != nil {
 		t.Fatalf("submit with live deadline should queue: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestPredictedWaitShedding(t *testing.T) {
 	s.observe(0, 500*time.Millisecond)
 
 	start := time.Now()
-	_, err := s.SubmitMatVecQoS(2, p, QoS{Deadline: time.Now().Add(50 * time.Millisecond)})
+	_, err := s.SubmitMatVec(2, p, QoS{Deadline: time.Now().Add(50 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("submit = %v, want ErrDeadlineExceeded", err)
@@ -123,11 +123,11 @@ func TestDeadlineReroute(t *testing.T) {
 	defer s.Close()
 	p, want := qosProblem(t)
 
-	affinity := shardOf(2, matvecFull, 2, p.A.Rows(), p.A.Cols(), int(p.Opts.Engine))
+	affinity := shardOf(2, matVecWork{2, p}.key())
 	s.observe(affinity, time.Second) // the affinity shard is hopeless
 	// The sibling has no history → optimistic zero prediction.
 
-	tk, err := s.SubmitMatVecQoS(2, p, QoS{Deadline: time.Now().Add(5 * time.Second)})
+	tk, err := s.SubmitMatVec(2, p, QoS{Deadline: time.Now().Add(5 * time.Second)})
 	if err != nil {
 		t.Fatalf("submit should reroute to the fast sibling, got %v", err)
 	}
@@ -162,13 +162,13 @@ func TestPriorityClasses(t *testing.T) {
 	}
 
 	// Low sheds immediately even under the Block policy.
-	if _, err := s.SubmitMatVecQoS(2, p, QoS{Priority: Low}); !errors.Is(err, ErrSaturated) {
+	if _, err := s.SubmitMatVec(2, p, QoS{Priority: Low}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Low submit into a full queue = %v, want ErrSaturated", err)
 	}
 
 	// High blocks; it must still be waiting until the gate opens.
 	var highDone atomic.Bool
-	highTk := make(chan MatVecTicket, 1)
+	highTk := make(chan Ticket[*core.MatVecResult], 1)
 	go func() {
 		tk, err := s.SubmitMatVec(2, p)
 		highDone.Store(true)
@@ -199,34 +199,6 @@ func TestPriorityClasses(t *testing.T) {
 	}
 }
 
-// TestStreamQoSZeroAllocSteadyState: deadline admission must not tax the
-// steady state — a warm compiled Into job submitted with a live deadline
-// still allocates nothing (the QoS rides in the pooled job; DeadlineError
-// is only built on the failure paths).
-func TestStreamQoSZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation behavior")
-	}
-	s := New(Config{Shards: 2})
-	defer s.Close()
-	a := matrix.FromRows([][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {13, 14, 15, 16}})
-	x := matrix.Vector{1, 2, 3, 4}
-	dst := make(matrix.Vector, 4)
-	roundTrip := func() {
-		tk, err := s.SubmitMatVecIntoQoS(dst, a, x, nil, 2, core.EngineCompiled, QoS{Deadline: time.Now().Add(time.Hour)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roundTrip() // warm the shard's plan memo and the job pool
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
-		t.Errorf("steady-state QoS stream job allocates %v objects/op, want 0", allocs)
-	}
-}
-
 // TestQoSFromContext: a context deadline becomes the QoS deadline; a
 // deadline-free context yields the zero QoS.
 func TestQoSFromContext(t *testing.T) {
@@ -251,7 +223,7 @@ func TestQoSFromContext(t *testing.T) {
 func TestSubmitWithRetry(t *testing.T) {
 	t.Run("succeeds after transient saturation", func(t *testing.T) {
 		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond, Cap: 10 * time.Microsecond}, time.Time{}, func() error {
+		err := SubmitWithRetry(context.Background(), Retry{Base: time.Microsecond, Cap: 10 * time.Microsecond}, time.Time{}, func() error {
 			if calls++; calls < 4 {
 				return ErrSaturated
 			}
@@ -263,7 +235,7 @@ func TestSubmitWithRetry(t *testing.T) {
 	})
 	t.Run("attempt cap returns the last saturation", func(t *testing.T) {
 		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond, Attempts: 3}, time.Time{}, func() error {
+		err := SubmitWithRetry(context.Background(), Retry{Base: time.Microsecond, Attempts: 3}, time.Time{}, func() error {
 			calls++
 			return ErrSaturated
 		})
@@ -272,7 +244,7 @@ func TestSubmitWithRetry(t *testing.T) {
 		}
 	})
 	t.Run("deadline bounds the loop", func(t *testing.T) {
-		err := SubmitWithRetry(Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
+		err := SubmitWithRetry(context.Background(), Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
 			return ErrSaturated
 		})
 		if !errors.Is(err, ErrDeadlineExceeded) {
@@ -286,7 +258,7 @@ func TestSubmitWithRetry(t *testing.T) {
 		// Regression: the deadline used to be checked only before sleeping,
 		// so a loop entered with a dead deadline still burned an attempt.
 		calls := 0
-		err := SubmitWithRetry(Retry{}, time.Now().Add(-time.Millisecond), func() error {
+		err := SubmitWithRetry(context.Background(), Retry{}, time.Now().Add(-time.Millisecond), func() error {
 			calls++
 			return nil
 		})
@@ -300,7 +272,7 @@ func TestSubmitWithRetry(t *testing.T) {
 	})
 	t.Run("already-expired deadline never submits with context", func(t *testing.T) {
 		calls := 0
-		err := SubmitWithRetryContext(context.Background(), Retry{}, time.Now().Add(-time.Millisecond), func() error {
+		err := SubmitWithRetry(context.Background(), Retry{}, time.Now().Add(-time.Millisecond), func() error {
 			calls++
 			return nil
 		})
@@ -314,7 +286,7 @@ func TestSubmitWithRetry(t *testing.T) {
 	})
 	t.Run("non-retryable errors return immediately", func(t *testing.T) {
 		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond}, time.Time{}, func() error {
+		err := SubmitWithRetry(context.Background(), Retry{Base: time.Microsecond}, time.Time{}, func() error {
 			calls++
 			return ErrClosed
 		})
@@ -328,7 +300,7 @@ func TestSubmitWithRetry(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
 		start := time.Now()
-		err := SubmitWithRetryContext(ctx, Retry{Base: time.Minute, Cap: time.Minute}, time.Time{}, func() error {
+		err := SubmitWithRetry(ctx, Retry{Base: time.Minute, Cap: time.Minute}, time.Time{}, func() error {
 			calls++
 			cancel()
 			return ErrSaturated
@@ -344,7 +316,7 @@ func TestSubmitWithRetry(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		calls := 0
-		err := SubmitWithRetryContext(ctx, Retry{}, time.Time{}, func() error {
+		err := SubmitWithRetry(ctx, Retry{}, time.Time{}, func() error {
 			calls++
 			return nil
 		})
@@ -355,7 +327,7 @@ func TestSubmitWithRetry(t *testing.T) {
 	t.Run("context deadline surfaces as context.DeadlineExceeded", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
-		err := SubmitWithRetryContext(ctx, Retry{Base: 50 * time.Millisecond, Cap: 50 * time.Millisecond}, time.Time{}, func() error {
+		err := SubmitWithRetry(ctx, Retry{Base: 50 * time.Millisecond, Cap: 50 * time.Millisecond}, time.Time{}, func() error {
 			return ErrSaturated
 		})
 		if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrSaturated) {
@@ -378,8 +350,8 @@ func TestSubmitWithRetry(t *testing.T) {
 			t.Fatalf("queue-filling submit: %v", err)
 		}
 		opened := false
-		var tk MatVecTicket
-		err := SubmitWithRetry(Retry{Base: time.Millisecond, Cap: 2 * time.Millisecond}, time.Time{}, func() error {
+		var tk Ticket[*core.MatVecResult]
+		err := SubmitWithRetry(context.Background(), Retry{Base: time.Millisecond, Cap: 2 * time.Millisecond}, time.Time{}, func() error {
 			var err error
 			tk, err = s.SubmitMatVec(2, p)
 			if !opened {

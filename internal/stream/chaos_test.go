@@ -26,8 +26,8 @@ func TestPanicHammer(t *testing.T) {
 			s := New(Config{Shards: shards, Injector: &Injector{Seed: 42, PanicEvery: 5}})
 			defer s.Close()
 
-			mvT := make([]MatVecTicket, n)
-			mmT := make([]MatMulTicket, n)
+			mvT := make([]Ticket[*core.MatVecResult], n)
+			mmT := make([]Ticket[*core.MatMulResult], n)
 			for i, c := range cases {
 				var err error
 				if c.mv != nil {
@@ -124,7 +124,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		s := New(Config{Shards: 2, Injector: &Injector{Seed: seed, ShedEvery: 3, PanicEvery: 4}})
 		defer s.Close()
 		var failed []int
-		tks := make([]MatVecTicket, 0, 40)
+		tks := make([]Ticket[*core.MatVecResult], 0, 40)
 		idx := make([]int, 0, 40)
 		for i := 0; i < 40; i++ {
 			tk, err := s.SubmitMatVec(2, p)

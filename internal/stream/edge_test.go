@@ -2,13 +2,17 @@ package stream
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/solve"
 	"repro/internal/sparse"
 )
 
@@ -64,8 +68,18 @@ func TestSubmitAfterClose(t *testing.T) {
 	if _, err := s.SubmitSparseMatVecInto(dst, tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitSparseMatVecInto after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.MatVecBatch(2, []core.MatVecProblem{{A: a, X: matrix.Vector{1, 1}}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("MatVecBatch after Close: %v, want ErrClosed", err)
+	xs := []matrix.Vector{{1, 1}}
+	if _, err := s.SubmitSparseBatch(tr, xs, nil, core.EngineAuto); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSparseBatch after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.SubmitSparseBatchInto([]matrix.Vector{dst}, tr, xs, nil, core.EngineAuto); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSparseBatchInto after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.SubmitSolveOpts(a, matrix.Vector{1, 1}, 2, solve.Options{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSolveOpts after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.SubmitSolveIntoOpts(dst, a, matrix.Vector{1, 1}, 2, solve.Options{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSolveIntoOpts after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -295,55 +309,29 @@ func TestSparseAffinityHammer(t *testing.T) {
 	}
 }
 
-// TestSparseStreamZeroAlloc pins the sparse stream acceptance criterion:
-// once the pattern-affinity shard is warm, a compiled sparse Into job —
-// submit, execute, redeem — allocates nothing.
-func TestSparseStreamZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation behavior")
+// redeem submits-and-waits one ticket, for the allocation table below.
+func redeem[T any](tk Ticket[T], err error) error {
+	if err != nil {
+		return err
 	}
-	s := New(Config{Shards: 2})
-	defer s.Close()
-	w := 4
-	a := sparseStencil(6, w)
-	tr := sparse.NewMatVec(a, w)
-	x := make(matrix.Vector, a.Cols())
-	for i := range x {
-		x[i] = float64(i)
-	}
-	dst := make(matrix.Vector, tr.N)
-	roundTrip := func() {
-		tk, err := s.SubmitSparseMatVecInto(dst, tr, x, nil, core.EngineCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm every shard on the pattern (stealing can land early jobs
-	// anywhere) before the measured steady state.
-	for i := 0; i < 32; i++ {
-		roundTrip()
-	}
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
-		t.Errorf("steady-state sparse stream job allocates %v objects/op, want 0", allocs)
-	}
-	if !dst.Equal(a.MulVec(x, nil), 0) {
-		t.Error("warm sparse stream produced a wrong result")
-	}
+	_, err = tk.Wait()
+	return err
 }
 
-// TestStreamZeroAllocSteadyState pins the stream acceptance criterion:
-// once the affinity shard is warm on a shape, a compiled Into job —
-// submit, execute, redeem — allocates nothing.
+// TestStreamZeroAllocSteadyState pins the stream acceptance criterion on
+// every Into kind: once the affinity shard is warm on the shape or pattern, a
+// compiled Into job — submit, execute, redeem — allocates nothing, with no
+// QoS and with a live deadline (the QoS rides in the pooled job;
+// DeadlineError is only built on the failure paths). A second QoS value is
+// rejected with ErrExtraQoS before anything is enqueued.
 func TestStreamZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")
 	}
 	s := New(Config{Shards: 2})
 	defer s.Close()
-	w := 4
+	rng := rand.New(rand.NewSource(789))
+
 	a := matrix.NewDense(16, 16)
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {
@@ -355,17 +343,137 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 		x[i] = float64(i)
 	}
 	dst := make(matrix.Vector, 16)
-	roundTrip := func() {
-		tk, err := s.SubmitMatVecInto(dst, a, x, nil, w, core.EngineCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
+
+	ma, mb := matrix.RandomDense(rng, 8, 8, 4), matrix.RandomDense(rng, 8, 8, 4)
+	mdst := matrix.NewDense(8, 8)
+
+	sa := sparseStencil(6, 4)
+	tr := sparse.NewMatVec(sa, 4)
+	sx := make(matrix.Vector, sa.Cols())
+	for i := range sx {
+		sx[i] = float64(i)
 	}
-	roundTrip() // warm the shard's plan memo and the job pool
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
-		t.Errorf("steady-state stream job allocates %v objects/op, want 0", allocs)
+	sdst := make(matrix.Vector, tr.N)
+	xs, bs := batchVectors(tr, 4)
+	dsts := make([]matrix.Vector, len(xs))
+	for v := range dsts {
+		dsts[v] = make(matrix.Vector, tr.N)
+	}
+
+	ga, gd := ddSystem(rng, 8)
+	gdst := make(matrix.Vector, 8)
+	// Pivoting and refinement ride the same pooled job and the shard
+	// workspace's reused buffers, so the warm guarantee survives both.
+	pa, pd := permuteRows(rng, ga, gd)
+	popts := solve.Options{
+		Engine: core.EngineCompiled,
+		Pivot:  solve.PivotPartial,
+		Refine: solve.RefineOptions{MaxIters: 3},
+	}
+	solveWant := func(a *matrix.Dense, d matrix.Vector, opts solve.Options) error {
+		want, _, err := solve.Solve(a, d, 2, opts)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(gdst, want) {
+			return errors.New("warm solve stream produced a wrong solution")
+		}
+		return nil
+	}
+
+	cases := []struct {
+		name  string
+		run   func(q ...QoS) error
+		check func() error
+	}{
+		{"matvec", func(q ...QoS) error {
+			return redeem(s.SubmitMatVecInto(dst, a, x, nil, 4, core.EngineCompiled, q...))
+		}, func() error {
+			if !dst.Equal(a.MulVec(x, nil), 0) {
+				return errors.New("warm matvec stream produced a wrong result")
+			}
+			return nil
+		}},
+		{"matmul", func(q ...QoS) error {
+			return redeem(s.SubmitMatMulInto(mdst, ma, mb, nil, 4, core.EngineCompiled, q...))
+		}, func() error {
+			want, err := core.NewMatMulSolver(4).Solve(ma, mb, core.MatMulOptions{Engine: core.EngineCompiled})
+			if err != nil {
+				return err
+			}
+			if !mdst.Equal(want.C, 0) {
+				return errors.New("warm matmul stream produced a wrong result")
+			}
+			return nil
+		}},
+		{"sparse", func(q ...QoS) error {
+			return redeem(s.SubmitSparseMatVecInto(sdst, tr, sx, nil, core.EngineCompiled, q...))
+		}, func() error {
+			if !sdst.Equal(sa.MulVec(sx, nil), 0) {
+				return errors.New("warm sparse stream produced a wrong result")
+			}
+			return nil
+		}},
+		{"sparse-batch", func(q ...QoS) error {
+			return redeem(s.SubmitSparseBatchInto(dsts, tr, xs, bs, core.EngineCompiled, q...))
+		}, func() error {
+			for v := range dsts {
+				want, err := tr.SolveEngine(xs[v], bs[v], core.EngineCompiled)
+				if err != nil {
+					return err
+				}
+				if !dsts[v].Equal(want.Y, 0) {
+					return fmt.Errorf("warm batch vector %d wrong", v)
+				}
+			}
+			return nil
+		}},
+		{"solve", func(q ...QoS) error {
+			return redeem(s.SubmitSolveIntoOpts(gdst, ga, gd, 2, solve.Options{Engine: core.EngineCompiled}, q...))
+		}, func() error {
+			return solveWant(ga, gd, solve.Options{Engine: core.EngineCompiled})
+		}},
+		{"solve-pivoted", func(q ...QoS) error {
+			return redeem(s.SubmitSolveIntoOpts(gdst, pa, pd, 2, popts, q...))
+		}, func() error {
+			return solveWant(pa, pd, popts)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, qc := range []struct {
+				name string
+				q    []QoS
+			}{
+				{"no-qos", nil},
+				{"deadline", []QoS{{Deadline: time.Now().Add(time.Hour)}}},
+			} {
+				t.Run(qc.name, func(t *testing.T) {
+					roundTrip := func() {
+						if err := c.run(qc.q...); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Warm every shard on the shape (stealing can land
+					// early jobs anywhere) before the measured steady state.
+					for i := 0; i < 32; i++ {
+						roundTrip()
+					}
+					if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
+						t.Errorf("steady-state %s job allocates %v objects/op, want 0", c.name, allocs)
+					}
+					if err := c.check(); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			before := s.Stats()
+			if err := c.run(QoS{}, QoS{Priority: Low}); !errors.Is(err, ErrExtraQoS) {
+				t.Errorf("two QoS values: %v, want ErrExtraQoS", err)
+			}
+			if after := s.Stats(); after != before {
+				t.Errorf("a rejected extra QoS moved the counters: %+v → %+v", before, after)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -10,354 +12,392 @@ import (
 	"repro/internal/sparse"
 )
 
-// jobKind discriminates the workloads a shard can run.
-type jobKind uint8
+// ErrExtraQoS is returned by a Submit* call handed more than one QoS
+// value. Nothing was enqueued and no admission counter moved.
+var ErrExtraQoS = errors.New("stream: a submission takes at most one QoS")
 
-const (
-	matvecFull jobKind = iota
-	matmulFull
-	matvecPass
-	matmulPass
-	sparseFull
-	sparsePass
-	solveFull
-	solvePass
-	sparseBatch
-	sparseBatchPass
-)
+// work is what one job kind contributes to the pooled job: run executes
+// the job on the running shard's arena and returns the ticket's result,
+// key names the shape the job routes by. Everything else — admission,
+// expiry, fault injection, service timing, panic delivery and recycling —
+// is the job's, once for every kind.
+type work[T any] interface {
+	run(ar *core.Arena) (T, error)
+	key() routeKey
+}
 
-// job is one unit of stream work: inputs, the completion signal and the
-// result slots, pooled so the steady state of a warmed stream submits
-// without allocating. A job implements core.Pass and runs on the shard's
-// goroutine with the shard's arena.
-type job struct {
-	s      *Scheduler
-	kind   jobKind
-	w      int
-	eng    core.Engine
-	pivot  solve.PivotPolicy
-	refine solve.RefineOptions
-
-	// Admission state: sequence number (injector determinism), QoS.
-	seq      uint64
+// header is the kind-independent half of a pooled job: the admission
+// state execution needs, the result's error and the completion signal.
+type header struct {
+	s        *Scheduler
+	seq      uint64 // injector determinism
 	deadline time.Time
-	prio     Priority
-
-	// Pass-style inputs (Into jobs; results land in caller-owned dst).
-	dst              matrix.Vector
-	a                *matrix.Dense
-	x, b             matrix.Vector
-	mdst, ma, mb, me *matrix.Dense
-
-	// Sparse inputs (both variants; Into jobs reuse dst/x/b above).
-	sp *sparse.MatVec
-
-	// Sparse batch inputs (one job carries the whole batch, so the ticket,
-	// admission decision and queue slot are per batch, not per vector).
-	xs, bs, dsts []matrix.Vector
-
-	// Full-result inputs.
-	mvp core.MatVecProblem
-	mmp core.MatMulProblem
-
-	// Outputs.
-	steps   int
-	mvres   *core.MatVecResult
-	mmres   *core.MatMulResult
-	spres   *sparse.Result
-	spmany  []*sparse.Result
-	svx     matrix.Vector
-	svstats solve.SolveStats
-	err     error
-
+	err      error
 	// done carries exactly one completion signal per submission; the
 	// ticket's Wait consumes it, keeping the channel clean for reuse.
 	done chan struct{}
 }
 
-// RunPass executes the job on the running shard's arena and signals the
-// ticket. A job whose deadline already passed while it sat queued is
-// skipped — its ticket resolves to the typed expiry error, its caller
-// buffer stays untouched. Live jobs are timed and fold their service time
-// into the executing shard's EWMA, which admission multiplies by queue
-// depth to predict waits. Full matvec/matmul jobs go through the same
-// core solvers a serial caller would use (global plan cache, fresh
-// result); sparse full jobs resolve their pattern-keyed plan through the
-// shard arena's memo (fresh result, plans identical to the serial ones);
-// solve jobs run the full BlockLU pipeline on the running shard's warm
-// arena-pooled workspace (serial pass decomposition — a stream job must
-// not block on an executor backed by its own scheduler — so results and
-// stats are bit-identical to one-shot solve.Solve); pass jobs replay
-// through the arena's memo and write into the caller's buffer, allocating
-// nothing once the shard is warm on that shape or pattern.
-func (j *job) RunPass(worker int, ar *core.Arena) {
-	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
-		j.err = &DeadlineError{Expired: true}
-		j.s.expired.Add(1)
-		j.s.completed.Add(1)
-		j.done <- struct{}{}
-		return
+// begin opens a job's execution on worker: a job whose deadline passed
+// while it sat queued is resolved with the typed expiry error and reported
+// dead — its workload never runs, its caller buffer stays untouched. A
+// live job gets its start time, taken before the injected faults so their
+// delays land in the shard's EWMA like any other slowdown.
+func (h *header) begin(worker int) (time.Time, bool) {
+	if !h.deadline.IsZero() && !time.Now().Before(h.deadline) {
+		h.err = &DeadlineError{Expired: true}
+		h.s.expired.Add(1)
+		h.finish()
+		return time.Time{}, false
 	}
 	start := time.Now()
-	if in := j.s.inject; in != nil {
-		in.perturb(worker, j.seq)
+	if in := h.s.inject; in != nil {
+		in.perturb(worker, h.seq)
 	}
-	switch j.kind {
-	case matvecFull:
-		j.mvres, j.err = core.NewMatVecSolver(j.w).Solve(j.mvp.A, j.mvp.X, j.mvp.B, j.mvp.Opts)
-	case matmulFull:
-		j.mmres, j.err = core.NewMatMulSolver(j.w).Solve(j.mmp.A, j.mmp.B, j.mmp.Opts)
-	case matvecPass:
-		j.steps, j.err = ar.MatVecPass(j.dst, j.a, j.x, j.b, j.w, j.eng)
-	case matmulPass:
-		j.steps, j.err = ar.MatMulPass(j.mdst, j.ma, j.mb, j.me, j.w, j.eng)
-	case sparseFull:
-		j.spres, j.err = j.sp.SolveEngineOn(ar, j.x, j.b, j.eng)
-	case sparsePass:
-		j.steps, j.err = j.sp.PassInto(ar, j.dst, j.x, j.b, j.eng)
-	case sparseBatch:
-		j.spmany, j.err = j.sp.SolveManyOn(ar, j.xs, j.bs, j.eng)
-	case sparseBatchPass:
-		j.steps, j.err = j.sp.PassManyInto(ar, j.dsts, j.xs, j.bs, j.eng)
-	case solveFull:
-		ws := arenaSolveWorkspace(ar, j.w)
-		x, stats, err := ws.Solve(j.a, j.b, solve.Options{Engine: j.eng, Pivot: j.pivot, Refine: j.refine})
-		if err != nil {
-			j.err = err
-		} else {
-			// x and stats are workspace-owned; the full-result ticket hands
-			// the caller fresh copies, like the other full-result kinds —
-			// the pivot permutation included (it aliases the workspace the
-			// next solve on this shard will scribble on).
-			j.svx = append(matrix.Vector(nil), x...)
-			j.svstats = *stats
-			j.svstats.LU.Perm = append([]int(nil), stats.LU.Perm...)
-		}
-	case solvePass:
-		ws := arenaSolveWorkspace(ar, j.w)
-		x, stats, err := ws.Solve(j.a, j.b, solve.Options{Engine: j.eng, Pivot: j.pivot, Refine: j.refine})
-		if err != nil {
-			j.err = err
-		} else {
-			copy(j.dst, x)
-			j.svstats = *stats
-			// The zero-alloc pass path cannot hand out a copy of the
-			// workspace-owned permutation and must not alias it (the pooled
-			// workspace outlives the ticket); RowSwaps still reports the
-			// pivoting work — use SubmitSolve for the full permutation.
-			j.svstats.LU.Perm = nil
-		}
-	}
-	j.s.observe(worker, time.Since(start))
-	j.s.completed.Add(1)
-	j.done <- struct{}{}
+	return start, true
+}
+
+// finish counts the job complete and signals its ticket; the job must not
+// be touched afterwards (its redeemer may already be recycling it).
+func (h *header) finish() {
+	h.s.completed.Add(1)
+	h.done <- struct{}{}
 }
 
 // JobPanicked implements core.PanicCarrier: a panic the fleet recovered
 // from this job resolves the ticket with the structured *core.PanicError
 // (value + stack) and counts toward Stats.Panics. The shard that ran the
 // job keeps serving — one poisoned job can never take it down.
-func (j *job) JobPanicked(err *core.PanicError) {
-	j.err = err
-	j.s.panics.Add(1)
-	j.s.completed.Add(1)
-	j.done <- struct{}{}
+func (h *header) JobPanicked(err *core.PanicError) {
+	h.err = err
+	h.s.panics.Add(1)
+	h.finish()
 }
 
-// MatVecTicket is the one-shot future of a SubmitMatVec job.
-type MatVecTicket struct{ j *job }
+// job is one unit of stream work, pooled per kind so the steady state of a
+// warmed stream submits without allocating. It implements core.Pass and
+// runs on the shard's goroutine with the shard's arena.
+type job[T any, W work[T]] struct {
+	header
+	work W
+	res  T
+	pool *jobPool[T, W]
+}
+
+// RunPass executes the job on the running shard's arena, folds its service
+// time into the executing shard's EWMA (which admission multiplies by
+// queue depth to predict waits) and signals the ticket.
+func (j *job[T, W]) RunPass(worker int, ar *core.Arena) {
+	start, live := j.begin(worker)
+	if !live {
+		return
+	}
+	j.res, j.err = j.work.run(ar)
+	j.s.observe(worker, time.Since(start))
+	j.finish()
+}
+
+// wait blocks for the completion signal, takes the result and recycles the
+// job.
+func (j *job[T, W]) wait() (T, error) {
+	<-j.done
+	res, err := j.res, j.err
+	j.release()
+	return res, err
+}
+
+// release scrubs the job and returns it to its pool. Only wait and failed
+// admissions release jobs — a never-redeemed ticket's job is dropped to
+// the garbage collector rather than recycled with a stale completion
+// signal.
+func (j *job[T, W]) release() {
+	*j = job[T, W]{header: header{done: j.done}, pool: j.pool}
+	j.pool.Put(j)
+}
+
+// jobPool recycles the jobs of one kind; the type parameters tie each pool
+// to the job type it holds.
+type jobPool[T any, W work[T]] struct{ sync.Pool }
+
+// get draws a recycled job or builds a fresh one.
+func (p *jobPool[T, W]) get() *job[T, W] {
+	if j, ok := p.Get().(*job[T, W]); ok {
+		return j
+	}
+	return &job[T, W]{header: header{done: make(chan struct{}, 1)}, pool: p}
+}
+
+// One pool per job kind, shared by every scheduler (a drawn job is bound
+// to its scheduler at submit).
+var (
+	matVecJobs          jobPool[*core.MatVecResult, matVecWork]
+	matVecIntoJobs      jobPool[int, matVecIntoWork]
+	matMulJobs          jobPool[*core.MatMulResult, matMulWork]
+	matMulIntoJobs      jobPool[int, matMulIntoWork]
+	sparseJobs          jobPool[*sparse.Result, sparseWork]
+	sparseIntoJobs      jobPool[int, sparseIntoWork]
+	sparseBatchJobs     jobPool[[]*sparse.Result, sparseBatchWork]
+	sparseBatchIntoJobs jobPool[int, sparseBatchIntoWork]
+	solveJobs           jobPool[solveResult, solveWork]
+	solveIntoJobs       jobPool[solve.SolveStats, solveIntoWork]
+)
+
+// submit is the one submission path: it checks the optional QoS, draws a
+// pooled job of w's kind, stamps its sequence number and routes it to its
+// affinity shard under the scheduler's admission rules.
+func submit[T any, W work[T]](s *Scheduler, pool *jobPool[T, W], w W, q []QoS) (Ticket[T], error) {
+	var qos QoS
+	switch len(q) {
+	case 0:
+	case 1:
+		qos = q[0]
+	default:
+		return Ticket[T]{}, fmt.Errorf("%w, got %d", ErrExtraQoS, len(q))
+	}
+	j := pool.get()
+	j.s, j.seq, j.deadline, j.work = s, s.seq.Add(1), qos.Deadline, w
+	if err := s.enqueue(j, j.seq, qos, shardOf(s.fleet.Shards(), w.key())); err != nil {
+		j.release()
+		return Ticket[T]{}, err
+	}
+	return Ticket[T]{j}, nil
+}
+
+// Ticket is the one-shot future of a submitted job.
+type Ticket[T any] struct {
+	j interface{ wait() (T, error) }
+}
 
 // Wait blocks until the job finishes and returns its result — exactly what
-// the serial core.MatVecSolver.Solve would return, statistics included.
-// Each ticket must be redeemed at most once; the zero ticket (returned
-// alongside a Submit error) must not be waited on.
-func (t MatVecTicket) Wait() (*core.MatVecResult, error) {
-	j := t.j
-	<-j.done
-	res, err := j.mvres, j.err
-	j.s.release(j)
-	return res, err
+// the serial call the job stands for would return, statistics included —
+// or the job's error. A job that expired or panicked returns its error
+// with T's zero value. Each ticket must be redeemed at most once;
+// the zero ticket (returned alongside a Submit error) must not be waited
+// on.
+func (t Ticket[T]) Wait() (T, error) { return t.j.wait() }
+
+// PassTicket is the ticket of a matvec, matmul or sparse Into job: the
+// result lands in the buffer the caller handed to Submit, Wait returns the
+// measured step count T.
+type PassTicket = Ticket[int]
+
+// matVecWork runs one full matvec problem through the same core solver a
+// serial caller would use (global plan cache, fresh result).
+type matVecWork struct {
+	w int
+	p core.MatVecProblem
 }
 
-// MatMulTicket is the one-shot future of a SubmitMatMul job.
-type MatMulTicket struct{ j *job }
-
-// Wait blocks until the job finishes and returns its result; see
-// MatVecTicket.Wait for the redemption rules.
-func (t MatMulTicket) Wait() (*core.MatMulResult, error) {
-	j := t.j
-	<-j.done
-	res, err := j.mmres, j.err
-	j.s.release(j)
-	return res, err
+func (m matVecWork) run(*core.Arena) (*core.MatVecResult, error) {
+	return core.NewMatVecSolver(m.w).Solve(m.p.A, m.p.X, m.p.B, m.p.Opts)
 }
 
-// SparseTicket is the one-shot future of a SubmitSparseMatVec job.
-type SparseTicket struct{ j *job }
-
-// Wait blocks until the job finishes and returns its result — exactly what
-// the serial sparse.MatVec.SolveEngine would return, statistics included.
-// See MatVecTicket.Wait for the redemption rules.
-func (t SparseTicket) Wait() (*sparse.Result, error) {
-	j := t.j
-	<-j.done
-	res, err := j.spres, j.err
-	j.s.release(j)
-	return res, err
-}
-
-// SparseBatchTicket is the one-shot future of a SubmitSparseBatch job: one
-// ticket covers the whole batch.
-type SparseBatchTicket struct{ j *job }
-
-// Wait blocks until the batch finishes and returns its per-vector results —
-// each exactly what the serial sparse.MatVec.SolveEngine would return for
-// that vector, statistics included. See MatVecTicket.Wait for the
-// redemption rules.
-func (t SparseBatchTicket) Wait() ([]*sparse.Result, error) {
-	j := t.j
-	<-j.done
-	res, err := j.spmany, j.err
-	j.s.release(j)
-	return res, err
-}
-
-// PassTicket is the one-shot future of an Into job: the result lands in
-// the buffer the caller handed to Submit, Wait returns the measured step
-// count.
-type PassTicket struct{ j *job }
-
-// Wait blocks until the job finishes and returns the pass's measured step
-// count T; the caller's dst holds the result. See MatVecTicket.Wait for
-// the redemption rules.
-func (t PassTicket) Wait() (int, error) {
-	j := t.j
-	<-j.done
-	steps, err := j.steps, j.err
-	j.s.release(j)
-	return steps, err
+func (m matVecWork) key() routeKey {
+	return routeKey{0, m.w, m.p.A.Rows(), m.p.A.Cols(), int(m.p.Opts.Engine)}
 }
 
 // SubmitMatVec enqueues one y = A·x + b problem for a w-PE linear array
-// and returns its ticket. The problem's inputs must stay untouched until
-// the ticket is redeemed.
-func (s *Scheduler) SubmitMatVec(w int, p core.MatVecProblem) (MatVecTicket, error) {
-	return s.SubmitMatVecQoS(w, p, QoS{})
+// and returns its ticket, whose Wait returns exactly what the serial
+// core.MatVecSolver.Solve would. An optional QoS attaches a deadline and a
+// priority class (see QoS); more than one fails with ErrExtraQoS. The
+// problem's inputs must stay untouched until the ticket is redeemed.
+func (s *Scheduler) SubmitMatVec(w int, p core.MatVecProblem, q ...QoS) (Ticket[*core.MatVecResult], error) {
+	return submit(s, &matVecJobs, matVecWork{w, p}, q)
 }
 
-// SubmitMatVecQoS is SubmitMatVec with a deadline and priority class
-// attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitMatVecQoS(w int, p core.MatVecProblem, q QoS) (MatVecTicket, error) {
-	j := s.get(q)
-	j.kind, j.w, j.mvp = matvecFull, w, p
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matvecFull, w, p.A.Rows(), p.A.Cols(), int(p.Opts.Engine))); err != nil {
-		return MatVecTicket{}, err
+// matVecIntoWork replays one matvec pass through the arena's memo into the
+// caller's buffer.
+type matVecIntoWork struct {
+	dst  matrix.Vector
+	a    *matrix.Dense
+	x, b matrix.Vector
+	w    int
+	eng  core.Engine
+}
+
+func (m matVecIntoWork) run(ar *core.Arena) (int, error) {
+	return ar.MatVecPass(m.dst, m.a, m.x, m.b, m.w, m.eng)
+}
+
+func (m matVecIntoWork) key() routeKey {
+	return routeKey{2, m.w, m.a.Rows(), m.a.Cols(), int(m.eng)}
+}
+
+// SubmitMatVecInto enqueues one y = A·x + b pass (b may be nil) writing
+// into dst (len = A.Rows(), which must not alias x or b) on the selected
+// engine — the zero-allocation stream path: once the affinity shard is
+// warm on the shape, submit, execution and redemption allocate nothing,
+// with or without a QoS (it rides in the pooled job). Inputs and dst must
+// stay untouched until the ticket is redeemed.
+func (s *Scheduler) SubmitMatVecInto(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vector, w int, eng core.Engine, q ...QoS) (PassTicket, error) {
+	if len(dst) != a.Rows() {
+		return PassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), a.Rows())
 	}
-	return MatVecTicket{j}, nil
+	return submit(s, &matVecIntoJobs, matVecIntoWork{dst, a, x, b, w, eng}, q)
+}
+
+// matMulWork runs one full matmul problem through the serial core solver.
+type matMulWork struct {
+	w int
+	p core.MatMulProblem
+}
+
+func (m matMulWork) run(*core.Arena) (*core.MatMulResult, error) {
+	return core.NewMatMulSolver(m.w).Solve(m.p.A, m.p.B, m.p.Opts)
+}
+
+func (m matMulWork) key() routeKey {
+	return routeKey{1, m.w, m.p.A.Rows(), m.p.B.Cols(), m.p.A.Cols()}
 }
 
 // SubmitMatMul enqueues one C = A·B [+ E] problem for a w×w hexagonal
-// array and returns its ticket. The problem's inputs must stay untouched
-// until the ticket is redeemed.
-func (s *Scheduler) SubmitMatMul(w int, p core.MatMulProblem) (MatMulTicket, error) {
-	return s.SubmitMatMulQoS(w, p, QoS{})
+// array and returns its ticket; QoS and redemption rules are those of
+// SubmitMatVec.
+func (s *Scheduler) SubmitMatMul(w int, p core.MatMulProblem, q ...QoS) (Ticket[*core.MatMulResult], error) {
+	return submit(s, &matMulJobs, matMulWork{w, p}, q)
 }
 
-// SubmitMatMulQoS is SubmitMatMul with a deadline and priority class
-// attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitMatMulQoS(w int, p core.MatMulProblem, q QoS) (MatMulTicket, error) {
-	j := s.get(q)
-	j.kind, j.w, j.mmp = matmulFull, w, p
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matmulFull, w, p.A.Rows(), p.B.Cols(), p.A.Cols())); err != nil {
-		return MatMulTicket{}, err
-	}
-	return MatMulTicket{j}, nil
+// matMulIntoWork replays one matmul pass through the arena's memo into the
+// caller's matrix.
+type matMulIntoWork struct {
+	dst, a, b, e *matrix.Dense
+	w            int
+	eng          core.Engine
 }
+
+func (m matMulIntoWork) run(ar *core.Arena) (int, error) {
+	return ar.MatMulPass(m.dst, m.a, m.b, m.e, m.w, m.eng)
+}
+
+func (m matMulIntoWork) key() routeKey {
+	return routeKey{3, m.w, m.a.Rows(), m.b.Cols(), m.a.Cols()}
+}
+
+// SubmitMatMulInto enqueues one C = A·B + E pass (e may be nil) writing
+// into dst (A.Rows()×B.Cols(), which must not alias a, b or e) on the
+// selected engine; QoS and allocation behavior match SubmitMatVecInto.
+// Inputs and dst must stay untouched until the ticket is redeemed.
+func (s *Scheduler) SubmitMatMulInto(dst, a, b, e *matrix.Dense, w int, eng core.Engine, q ...QoS) (PassTicket, error) {
+	if dst.Rows() != a.Rows() || dst.Cols() != b.Cols() {
+		return PassTicket{}, fmt.Errorf("stream: dst %d×%d, want %d×%d", dst.Rows(), dst.Cols(), a.Rows(), b.Cols())
+	}
+	return submit(s, &matMulIntoJobs, matMulIntoWork{dst, a, b, e, w, eng}, q)
+}
+
+// sparseKey routes a sparse job by pattern affinity: shape plus the
+// retained-block pattern digest, so a repeating sparsity pattern replays
+// its shard's memoized pattern-keyed plan.
+func sparseKey(salt int, t *sparse.MatVec) routeKey {
+	k := t.Key()
+	return routeKey{salt, int(k.Digest), k.W, k.NBar, k.MBar}
+}
+
+// sparseWork resolves its pattern-keyed plan through the shard arena's
+// memo (fresh result, plans identical to the serial ones).
+type sparseWork struct {
+	t    *sparse.MatVec
+	x, b matrix.Vector
+	eng  core.Engine
+}
+
+func (m sparseWork) run(ar *core.Arena) (*sparse.Result, error) {
+	return m.t.SolveEngineOn(ar, m.x, m.b, m.eng)
+}
+
+func (m sparseWork) key() routeKey { return sparseKey(4, m.t) }
 
 // SubmitSparseMatVec enqueues one sparse y = A·x + b problem (paper §4,
-// b may be nil) on the selected engine and returns its ticket. Jobs are
-// routed by pattern affinity — same retained-block pattern, same shard —
-// so a repeating sparsity pattern (a stencil, say) replays the shard's
-// memoized plan. The transformation and inputs must stay untouched until
-// the ticket is redeemed.
-func (s *Scheduler) SubmitSparseMatVec(t *sparse.MatVec, x, b matrix.Vector, eng core.Engine) (SparseTicket, error) {
-	return s.SubmitSparseMatVecQoS(t, x, b, eng, QoS{})
+// b may be nil) on the selected engine and returns its ticket, whose Wait
+// returns exactly what the serial sparse.MatVec.SolveEngine would. Jobs
+// are routed by pattern affinity — same retained-block pattern, same
+// shard. QoS rules are those of SubmitMatVec. The transformation and
+// inputs must stay untouched until the ticket is redeemed.
+func (s *Scheduler) SubmitSparseMatVec(t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q ...QoS) (Ticket[*sparse.Result], error) {
+	return submit(s, &sparseJobs, sparseWork{t, x, b, eng}, q)
 }
 
-// SubmitSparseMatVecQoS is SubmitSparseMatVec with a deadline and priority
-// class attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitSparseMatVecQoS(t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q QoS) (SparseTicket, error) {
-	j := s.get(q)
-	j.kind, j.eng, j.sp = sparseFull, eng, t
-	j.x, j.b = x, b
-	k := t.Key()
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), sparseFull, int(k.Digest), k.W, k.NBar, k.MBar)); err != nil {
-		return SparseTicket{}, err
-	}
-	return SparseTicket{j}, nil
+// sparseIntoWork replays one sparse pass into the caller's buffer.
+type sparseIntoWork struct {
+	dst  matrix.Vector
+	t    *sparse.MatVec
+	x, b matrix.Vector
+	eng  core.Engine
 }
+
+func (m sparseIntoWork) run(ar *core.Arena) (int, error) {
+	return m.t.PassInto(ar, m.dst, m.x, m.b, m.eng)
+}
+
+func (m sparseIntoWork) key() routeKey { return sparseKey(5, m.t) }
 
 // SubmitSparseMatVecInto enqueues one sparse y = A·x + b pass (b may be
 // nil) writing into dst (len = A.Rows(), which must not alias x or b) on
-// the selected engine — the zero-allocation sparse stream path: once the
-// pattern-affinity shard is warm on the pattern, submit and execution
-// allocate nothing. The transformation, inputs and dst must stay untouched
-// until the ticket is redeemed.
-func (s *Scheduler) SubmitSparseMatVecInto(dst matrix.Vector, t *sparse.MatVec, x, b matrix.Vector, eng core.Engine) (PassTicket, error) {
-	return s.SubmitSparseMatVecIntoQoS(dst, t, x, b, eng, QoS{})
-}
-
-// SubmitSparseMatVecIntoQoS is SubmitSparseMatVecInto with a deadline and
-// priority class attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitSparseMatVecIntoQoS(dst matrix.Vector, t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q QoS) (PassTicket, error) {
+// the selected engine — the zero-allocation sparse stream path once the
+// pattern-affinity shard is warm. The transformation, inputs and dst must
+// stay untouched until the ticket is redeemed.
+func (s *Scheduler) SubmitSparseMatVecInto(dst matrix.Vector, t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q ...QoS) (PassTicket, error) {
 	if len(dst) != t.N {
 		return PassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), t.N)
 	}
-	j := s.get(q)
-	j.kind, j.eng, j.sp = sparsePass, eng, t
-	j.dst, j.x, j.b = dst, x, b
-	k := t.Key()
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), sparsePass, int(k.Digest), k.W, k.NBar, k.MBar)); err != nil {
-		return PassTicket{}, err
-	}
-	return PassTicket{j}, nil
+	return submit(s, &sparseIntoJobs, sparseIntoWork{dst, t, x, b, eng}, q)
 }
+
+// checkBatch validates a sparse batch's x/b lengths at submit.
+func checkBatch(xs, bs []matrix.Vector) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("stream: empty sparse batch")
+	}
+	if bs != nil && len(bs) != len(xs) {
+		return fmt.Errorf("stream: batch has %d x vectors but %d b vectors", len(xs), len(bs))
+	}
+	return nil
+}
+
+// sparseBatchWork replays the pattern-keyed plan once over every vector of
+// the batch (fresh results).
+type sparseBatchWork struct {
+	t      *sparse.MatVec
+	xs, bs []matrix.Vector
+	eng    core.Engine
+}
+
+func (m sparseBatchWork) run(ar *core.Arena) ([]*sparse.Result, error) {
+	return m.t.SolveManyOn(ar, m.xs, m.bs, m.eng)
+}
+
+func (m sparseBatchWork) key() routeKey { return sparseKey(8, m.t) }
 
 // SubmitSparseBatch enqueues k sparse solves y_v = A·x_v + b_v sharing one
 // transformation as a single batched job — one ticket, one queue slot, one
-// admission decision for the whole batch — and returns its ticket. The
-// shard replays the pattern-keyed plan once over all k vectors
-// (sparse.MatVec.SolveManyOn), amortizing padding and plan resolution
-// across the batch; each returned Result is bit-identical to an
+// admission decision (and one deadline) for the whole batch. The shard
+// replays the pattern-keyed plan once over all k vectors
+// (sparse.MatVec.SolveManyOn); each returned Result is bit-identical to an
 // independent SubmitSparseMatVec of that vector. bs may be nil (every b is
 // zero) or hold nil entries; otherwise len(bs) must equal len(xs).
-// Routing follows the same pattern affinity as the single-vector sparse
-// jobs. The transformation and every vector must stay untouched until the
-// ticket is redeemed.
-func (s *Scheduler) SubmitSparseBatch(t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine) (SparseBatchTicket, error) {
-	return s.SubmitSparseBatchQoS(t, xs, bs, eng, QoS{})
+// Routing follows the single-vector sparse jobs' pattern affinity. The
+// transformation and every vector must stay untouched until the ticket is
+// redeemed.
+func (s *Scheduler) SubmitSparseBatch(t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q ...QoS) (Ticket[[]*sparse.Result], error) {
+	if err := checkBatch(xs, bs); err != nil {
+		return Ticket[[]*sparse.Result]{}, err
+	}
+	return submit(s, &sparseBatchJobs, sparseBatchWork{t, xs, bs, eng}, q)
 }
 
-// SubmitSparseBatchQoS is SubmitSparseBatch with a deadline and priority
-// class attached; see QoS for the admission semantics. The deadline covers
-// the whole batch — a batch that expires queued resolves its one ticket
-// with the typed expiry error and computes nothing.
-func (s *Scheduler) SubmitSparseBatchQoS(t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q QoS) (SparseBatchTicket, error) {
-	if len(xs) == 0 {
-		return SparseBatchTicket{}, fmt.Errorf("stream: empty sparse batch")
-	}
-	if bs != nil && len(bs) != len(xs) {
-		return SparseBatchTicket{}, fmt.Errorf("stream: batch has %d x vectors but %d b vectors", len(xs), len(bs))
-	}
-	j := s.get(q)
-	j.kind, j.eng, j.sp = sparseBatch, eng, t
-	j.xs, j.bs = xs, bs
-	k := t.Key()
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), sparseBatch, int(k.Digest), k.W, k.NBar, k.MBar)); err != nil {
-		return SparseBatchTicket{}, err
-	}
-	return SparseBatchTicket{j}, nil
+// sparseBatchIntoWork replays one batched sparse pass into the caller's
+// buffers.
+type sparseBatchIntoWork struct {
+	dsts   []matrix.Vector
+	t      *sparse.MatVec
+	xs, bs []matrix.Vector
+	eng    core.Engine
 }
+
+func (m sparseBatchIntoWork) run(ar *core.Arena) (int, error) {
+	return m.t.PassManyInto(ar, m.dsts, m.xs, m.bs, m.eng)
+}
+
+func (m sparseBatchIntoWork) key() routeKey { return sparseKey(9, m.t) }
 
 // SubmitSparseBatchInto is the Into form of SubmitSparseBatch: the shard
 // writes dsts[v] = A·xs[v] + bs[v] for every vector in one batched pass
@@ -366,82 +406,17 @@ func (s *Scheduler) SubmitSparseBatchQoS(t *sparse.MatVec, xs, bs []matrix.Vecto
 // is warm. Every dst must have length A.Rows() and must not alias any x or
 // b; the transformation, inputs and dsts must stay untouched until the
 // ticket is redeemed.
-func (s *Scheduler) SubmitSparseBatchInto(dsts []matrix.Vector, t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine) (PassTicket, error) {
-	return s.SubmitSparseBatchIntoQoS(dsts, t, xs, bs, eng, QoS{})
-}
-
-// SubmitSparseBatchIntoQoS is SubmitSparseBatchInto with a deadline and
-// priority class attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitSparseBatchIntoQoS(dsts []matrix.Vector, t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q QoS) (PassTicket, error) {
-	if len(xs) == 0 {
-		return PassTicket{}, fmt.Errorf("stream: empty sparse batch")
+func (s *Scheduler) SubmitSparseBatchInto(dsts []matrix.Vector, t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q ...QoS) (PassTicket, error) {
+	if err := checkBatch(xs, bs); err != nil {
+		return PassTicket{}, err
 	}
 	if len(dsts) != len(xs) {
 		return PassTicket{}, fmt.Errorf("stream: batch has %d dst vectors but %d x vectors", len(dsts), len(xs))
-	}
-	if bs != nil && len(bs) != len(xs) {
-		return PassTicket{}, fmt.Errorf("stream: batch has %d x vectors but %d b vectors", len(xs), len(bs))
 	}
 	for v := range dsts {
 		if len(dsts[v]) != t.N {
 			return PassTicket{}, fmt.Errorf("stream: batch dst %d len %d, want %d", v, len(dsts[v]), t.N)
 		}
 	}
-	j := s.get(q)
-	j.kind, j.eng, j.sp = sparseBatchPass, eng, t
-	j.dsts, j.xs, j.bs = dsts, xs, bs
-	k := t.Key()
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), sparseBatchPass, int(k.Digest), k.W, k.NBar, k.MBar)); err != nil {
-		return PassTicket{}, err
-	}
-	return PassTicket{j}, nil
-}
-
-// SubmitMatVecInto enqueues one y = A·x + b pass (b may be nil) writing
-// into dst (len = A.Rows(), which must not alias x or b) on the selected
-// engine — the zero-allocation stream path: once the affinity shard is
-// warm on the shape, submit and execution allocate nothing. Inputs and dst
-// must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatVecInto(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vector, w int, eng core.Engine) (PassTicket, error) {
-	return s.SubmitMatVecIntoQoS(dst, a, x, b, w, eng, QoS{})
-}
-
-// SubmitMatVecIntoQoS is SubmitMatVecInto with a deadline and priority
-// class attached; see QoS for the admission semantics. The warm-shard
-// zero-allocation guarantee holds for QoS submissions too: deadlines ride
-// in the pooled job, so admission adds no allocations to the steady state.
-func (s *Scheduler) SubmitMatVecIntoQoS(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vector, w int, eng core.Engine, q QoS) (PassTicket, error) {
-	if len(dst) != a.Rows() {
-		return PassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), a.Rows())
-	}
-	j := s.get(q)
-	j.kind, j.w, j.eng = matvecPass, w, eng
-	j.dst, j.a, j.x, j.b = dst, a, x, b
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matvecPass, w, a.Rows(), a.Cols(), int(eng))); err != nil {
-		return PassTicket{}, err
-	}
-	return PassTicket{j}, nil
-}
-
-// SubmitMatMulInto enqueues one C = A·B + E pass (e may be nil) writing
-// into dst (A.Rows()×B.Cols(), which must not alias a, b or e) on the
-// selected engine; allocation behavior matches SubmitMatVecInto. Inputs
-// and dst must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatMulInto(dst, a, b, e *matrix.Dense, w int, eng core.Engine) (PassTicket, error) {
-	return s.SubmitMatMulIntoQoS(dst, a, b, e, w, eng, QoS{})
-}
-
-// SubmitMatMulIntoQoS is SubmitMatMulInto with a deadline and priority
-// class attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitMatMulIntoQoS(dst, a, b, e *matrix.Dense, w int, eng core.Engine, q QoS) (PassTicket, error) {
-	if dst.Rows() != a.Rows() || dst.Cols() != b.Cols() {
-		return PassTicket{}, fmt.Errorf("stream: dst %d×%d, want %d×%d", dst.Rows(), dst.Cols(), a.Rows(), b.Cols())
-	}
-	j := s.get(q)
-	j.kind, j.w, j.eng = matmulPass, w, eng
-	j.mdst, j.ma, j.mb, j.me = dst, a, b, e
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matmulPass, w, a.Rows(), b.Cols(), a.Cols())); err != nil {
-		return PassTicket{}, err
-	}
-	return PassTicket{j}, nil
+	return submit(s, &sparseBatchIntoJobs, sparseBatchIntoWork{dsts, t, xs, bs, eng}, q)
 }

@@ -30,31 +30,20 @@ type Retry struct {
 // *DeadlineError (matched by errors.Is against ErrDeadlineExceeded)
 // before any submission attempt runs, and when the next backoff sleep
 // would overrun the deadline, the last ErrSaturated is returned wrapped
-// with ErrDeadlineExceeded so callers can match either sentinel. The
-// submit closure should capture a Submit* call and return its error:
+// with ErrDeadlineExceeded so callers can match either sentinel. ctx
+// bounds the loop as well: cancellation interrupts a backoff sleep
+// immediately and is checked before each attempt, and a cancelled loop
+// returns the context's error (matched by errors.Is against
+// context.Canceled or context.DeadlineExceeded) wrapped with the last
+// submission error when there was one. The submit closure should capture
+// a Submit* call and return its error:
 //
-//	tk, err := stream.SubmitWithRetry(stream.Retry{}, deadline, func() error {
+//	err := stream.SubmitWithRetry(ctx, stream.Retry{}, deadline, func() error {
 //		var err error
-//		tk, err = s.SubmitMatVecQoS(w, p, q)
+//		tk, err = s.SubmitMatVec(w, p, q)
 //		return err
 //	})
-func SubmitWithRetry(r Retry, deadline time.Time, submit func() error) error {
-	return submitWithRetry(context.Background(), r, deadline, submit)
-}
-
-// SubmitWithRetryContext is SubmitWithRetry bounded by a context as well:
-// cancellation interrupts a backoff sleep immediately — a cancelled caller
-// never sleeps out the rest of a jittered backoff — and is checked before
-// each attempt. A cancelled loop returns the context's error (matched by
-// errors.Is against context.Canceled or context.DeadlineExceeded) wrapped
-// with the last submission error when there was one.
-func SubmitWithRetryContext(ctx context.Context, r Retry, deadline time.Time, submit func() error) error {
-	return submitWithRetry(ctx, r, deadline, submit)
-}
-
-// submitWithRetry is the shared retry loop; the background context makes
-// it exactly the historical SubmitWithRetry behavior.
-func submitWithRetry(ctx context.Context, r Retry, deadline time.Time, submit func() error) error {
+func SubmitWithRetry(ctx context.Context, r Retry, deadline time.Time, submit func() error) error {
 	if r.Base <= 0 {
 		r.Base = 100 * time.Microsecond
 	}

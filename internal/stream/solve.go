@@ -16,7 +16,7 @@ import (
 // stream of solves reuses the shard's compiled plans and, on the Into
 // variant, allocates nothing once warm. Solve jobs participate in EWMA
 // admission, priority classes, expiry-while-queued and panic isolation
-// exactly like the other six submit paths.
+// exactly like every other job kind: they share the one pooled job.
 
 // solveKeepBase partitions core.Arena's Keep key space for the stream's
 // solve workspaces: workspace for array size w lives under key
@@ -39,9 +39,10 @@ func arenaSolveWorkspace(ar *core.Arena, w int) *solve.Workspace {
 	return ws
 }
 
-// validateSolve checks a solve submission's shapes synchronously, so a
-// malformed request fails at Submit instead of poisoning a ticket.
-func validateSolve(a *matrix.Dense, d matrix.Vector, w int) error {
+// validateSolve checks a solve submission's shapes and the option
+// combinations the stream cannot honor synchronously, so a malformed
+// request fails at Submit instead of poisoning a ticket.
+func validateSolve(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options) error {
 	if w < 1 {
 		return fmt.Errorf("stream: invalid array size %d", w)
 	}
@@ -51,16 +52,6 @@ func validateSolve(a *matrix.Dense, d matrix.Vector, w int) error {
 	}
 	if len(d) != n {
 		return fmt.Errorf("stream: len(d)=%d, want %d", len(d), n)
-	}
-	return nil
-}
-
-// validateSolveOpts extends validateSolve with the option combinations the
-// stream cannot honor, so they fail at Submit instead of poisoning a
-// ticket.
-func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options) error {
-	if err := validateSolve(a, d, w); err != nil {
-		return err
 	}
 	if opts.Executor != nil {
 		return fmt.Errorf("stream: solve options must not carry an executor (a stream job cannot block on one backed by its own scheduler)")
@@ -74,121 +65,121 @@ func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Optio
 	return nil
 }
 
-// SolveTicket is the one-shot future of a SubmitSolve job.
-type SolveTicket struct{ j *job }
+// solveResult is a full solve job's result: caller-owned copies of the
+// solution and stats.
+type solveResult struct {
+	x     matrix.Vector
+	stats solve.SolveStats
+}
+
+// SolveTicket is the one-shot future of a SubmitSolveOpts job.
+type SolveTicket struct{ t Ticket[solveResult] }
 
 // Wait blocks until the solve finishes and returns the solution and stats —
-// exactly what the serial one-shot solve.Solve would return, residual
-// included. The returned vector and stats are fresh copies owned by the
-// caller. See MatVecTicket.Wait for the redemption rules.
+// exactly what the serial one-shot solve.Solve would return, residual and
+// pivot permutation included. The returned vector and stats are fresh
+// copies owned by the caller; on error both are nil. See Ticket.Wait for
+// the redemption rules.
 func (t SolveTicket) Wait() (matrix.Vector, *solve.SolveStats, error) {
-	j := t.j
-	<-j.done
-	x, stats, err := j.svx, j.svstats, j.err
-	j.s.release(j)
+	r, err := t.t.Wait()
 	if err != nil {
 		return nil, nil, err
 	}
-	return x, &stats, nil
+	return r.x, &r.stats, nil
 }
 
-// SolvePassTicket is the one-shot future of a SubmitSolveInto job: the
-// solution lands in the buffer the caller handed to Submit, Wait returns
-// the stats by value — nothing on this path allocates once the shard is
-// warm on the shape.
-type SolvePassTicket struct{ j *job }
-
-// Wait blocks until the solve finishes and returns its stats; the caller's
-// dst holds the solution. On error dst is untouched. See MatVecTicket.Wait
-// for the redemption rules.
-func (t SolvePassTicket) Wait() (solve.SolveStats, error) {
-	j := t.j
-	<-j.done
-	stats, err := j.svstats, j.err
-	j.s.release(j)
-	return stats, err
+// solveWork runs one full direct solve on the running shard's warm
+// arena-pooled workspace (serial pass decomposition — a stream job must
+// not block on an executor backed by its own scheduler — so results and
+// stats are bit-identical to one-shot solve.Solve).
+type solveWork struct {
+	a    *matrix.Dense
+	d    matrix.Vector
+	w    int
+	opts solve.Options
 }
 
-// SubmitSolve enqueues one full direct solve A·x = d (BlockLU plus both
-// triangular phases, paper §4's complete pipeline) for array size w on the
-// selected engine and returns its ticket. Solves route by shape affinity —
-// same (n, w, engine), same shard — so a repeating stream of solves replays
-// the shard workspace's compiled plans. A must be square with nonsingular
-// leading minors; a zero pivot resolves the ticket with an errors.As-
-// matchable *solve.SingularError carrying the pivot index, and the shard
-// keeps serving. Inputs must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitSolve(a *matrix.Dense, d matrix.Vector, w int, eng core.Engine) (SolveTicket, error) {
-	return s.SubmitSolveQoS(a, d, w, eng, QoS{})
+func (m solveWork) run(ar *core.Arena) (solveResult, error) {
+	x, stats, err := arenaSolveWorkspace(ar, m.w).Solve(m.a, m.d, m.opts)
+	if err != nil {
+		return solveResult{}, err
+	}
+	// x and stats are workspace-owned; the caller gets fresh copies — the
+	// pivot permutation included (it aliases the workspace the next solve
+	// on this shard will scribble on).
+	r := solveResult{x: append(matrix.Vector(nil), x...), stats: *stats}
+	r.stats.LU.Perm = append([]int(nil), stats.LU.Perm...)
+	return r, nil
 }
 
-// SubmitSolveQoS is SubmitSolve with a deadline and priority class
-// attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitSolveQoS(a *matrix.Dense, d matrix.Vector, w int, eng core.Engine, q QoS) (SolveTicket, error) {
-	return s.SubmitSolveOpts(a, d, w, solve.Options{Engine: eng}, q)
+func (m solveWork) key() routeKey {
+	return routeKey{6, m.w, m.a.Rows(), m.a.Cols(), int(m.opts.Engine)}
 }
 
-// SubmitSolveOpts is SubmitSolve with the full solver options — engine,
-// pivot policy, iterative refinement — plus a QoS class: the stream face
-// of solve.Options. Pivoted and refined solves route, pool and admit
-// exactly like plain ones (the options ride in the pooled job); a
-// refinement that fails to converge resolves the ticket with the typed
-// *solve.IllConditionedError carrying its ConditionReport, never an
-// unconverged solution. opts.Executor must be nil — a stream job cannot
-// block on an executor backed by its own scheduler.
-func (s *Scheduler) SubmitSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolveTicket, error) {
-	if err := validateSolveOpts(a, d, w, opts); err != nil {
+// SubmitSolveOpts enqueues one full direct solve A·x = d (BlockLU plus
+// both triangular phases, paper §4's complete pipeline) for array size w
+// with the full solver options — engine, pivot policy, iterative
+// refinement — and an optional QoS (see QoS; more than one fails with
+// ErrExtraQoS). Solves route by shape affinity — same (n, w, engine), same
+// shard — so a repeating stream of solves replays the shard workspace's
+// compiled plans. A zero pivot resolves the ticket with an errors.As-
+// matchable *solve.SingularError carrying the pivot index, and a
+// refinement that fails to converge with the typed
+// *solve.IllConditionedError carrying its ConditionReport — never an
+// unconverged solution; either way the shard keeps serving.
+// opts.Executor must be nil — a stream job cannot block on an executor
+// backed by its own scheduler. Inputs must stay untouched until the ticket
+// is redeemed.
+func (s *Scheduler) SubmitSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q ...QoS) (SolveTicket, error) {
+	if err := validateSolve(a, d, w, opts); err != nil {
 		return SolveTicket{}, err
 	}
-	j := s.get(q)
-	j.kind, j.w, j.eng = solveFull, w, opts.Engine
-	j.pivot, j.refine = opts.Pivot, opts.Refine
-	j.a, j.b = a, d
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), solveFull, w, a.Rows(), a.Cols(), int(opts.Engine))); err != nil {
-		return SolveTicket{}, err
+	t, err := submit(s, &solveJobs, solveWork{a, d, w, opts}, q)
+	return SolveTicket{t}, err
+}
+
+// solveIntoWork runs one full direct solve like solveWork, writing the
+// solution into the caller's buffer.
+type solveIntoWork struct {
+	dst matrix.Vector
+	solveWork
+}
+
+func (m solveIntoWork) run(ar *core.Arena) (solve.SolveStats, error) {
+	x, stats, err := arenaSolveWorkspace(ar, m.w).Solve(m.a, m.d, m.opts)
+	if err != nil {
+		return solve.SolveStats{}, err
 	}
-	return SolveTicket{j}, nil
+	copy(m.dst, x)
+	st := *stats
+	// The zero-alloc path can neither copy the workspace-owned permutation
+	// nor alias it (the pooled workspace outlives the ticket); RowSwaps
+	// still reports the pivoting work.
+	st.LU.Perm = nil
+	return st, nil
 }
 
-// SubmitSolveInto enqueues one full direct solve A·x = d writing the
-// solution into dst (len = n, which must not alias d) — the
-// zero-allocation solve stream path: once the affinity shard is warm on
-// the shape, submit, execution and redemption allocate nothing. Inputs and
-// dst must stay untouched until the ticket is redeemed; on error dst is
-// untouched.
-func (s *Scheduler) SubmitSolveInto(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, eng core.Engine) (SolvePassTicket, error) {
-	return s.SubmitSolveIntoQoS(dst, a, d, w, eng, QoS{})
+func (m solveIntoWork) key() routeKey {
+	return routeKey{7, m.w, m.a.Rows(), m.a.Cols(), int(m.opts.Engine)}
 }
 
-// SubmitSolveIntoQoS is SubmitSolveInto with a deadline and priority class
-// attached; see QoS for the admission semantics. The warm-shard
-// zero-allocation guarantee holds under QoS too: deadlines ride in the
-// pooled job.
-func (s *Scheduler) SubmitSolveIntoQoS(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, eng core.Engine, q QoS) (SolvePassTicket, error) {
-	return s.SubmitSolveIntoOpts(dst, a, d, w, solve.Options{Engine: eng}, q)
-}
-
-// SubmitSolveIntoOpts is SubmitSolveInto with the full solver options —
-// engine, pivot policy, iterative refinement — plus a QoS class. The
-// warm-shard zero-allocation guarantee holds with pivoting and refinement
-// enabled (both ride in the pooled job and the shard workspace's reused
-// buffers). One consequence: the returned stats report the pivoting work
-// as LU.RowSwaps but carry a nil LU.Perm — the permutation slice is owned
+// SubmitSolveIntoOpts is SubmitSolveOpts writing the solution into dst
+// (len = n, which must not alias d) — the zero-allocation solve stream
+// path: once the affinity shard is warm on the shape, submit, execution
+// and redemption allocate nothing, with pivoting, refinement and a QoS
+// enabled (all ride in the pooled job and the shard workspace's reused
+// buffers). Wait returns the stats by value, reporting the pivoting work
+// as LU.RowSwaps but with a nil LU.Perm — the permutation slice is owned
 // by the pooled shard workspace and handing it out would alias the next
-// solve; use SubmitSolveOpts when the permutation itself is needed.
-// opts.Executor must be nil, as on SubmitSolveOpts.
-func (s *Scheduler) SubmitSolveIntoOpts(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolvePassTicket, error) {
-	if err := validateSolveOpts(a, d, w, opts); err != nil {
-		return SolvePassTicket{}, err
+// solve; use SubmitSolveOpts when the permutation itself is needed. Inputs
+// and dst must stay untouched until the ticket is redeemed; on error dst
+// is untouched.
+func (s *Scheduler) SubmitSolveIntoOpts(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q ...QoS) (Ticket[solve.SolveStats], error) {
+	if err := validateSolve(a, d, w, opts); err != nil {
+		return Ticket[solve.SolveStats]{}, err
 	}
 	if len(dst) != a.Rows() {
-		return SolvePassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), a.Rows())
+		return Ticket[solve.SolveStats]{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), a.Rows())
 	}
-	j := s.get(q)
-	j.kind, j.w, j.eng = solvePass, w, opts.Engine
-	j.pivot, j.refine = opts.Pivot, opts.Refine
-	j.dst, j.a, j.b = dst, a, d
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), solvePass, w, a.Rows(), a.Cols(), int(opts.Engine))); err != nil {
-		return SolvePassTicket{}, err
-	}
-	return SolvePassTicket{j}, nil
+	return submit(s, &solveIntoJobs, solveIntoWork{dst, solveWork{a, d, w, opts}}, q)
 }

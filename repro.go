@@ -50,9 +50,9 @@ const (
 // deadline expiries and recovered panics.
 type StreamStats = stream.Stats
 
-// StreamQoS attaches a completion deadline and a priority class to the
-// SubmitXxxQoS submission variants; the zero value reproduces the plain
-// Submit* behavior (no deadline, High priority).
+// StreamQoS attaches a completion deadline and a priority class to a
+// submission, as the optional last argument of any Stream.Submit* method;
+// the zero value — like passing none — means no deadline, High priority.
 type StreamQoS = stream.QoS
 
 // StreamInjector induces deterministic, seed-keyed faults (forced sheds,
@@ -60,22 +60,17 @@ type StreamQoS = stream.QoS
 // one through StreamConfig.Injector.
 type StreamInjector = stream.Injector
 
-// StreamSolveTicket is the one-shot future of a Stream.SubmitSolve job:
-// Wait returns a caller-owned solution vector and stats, exactly what the
-// serial one-shot solve.Solve would return.
+// StreamTicket is the one-shot future of a Stream.Submit* job: Wait
+// returns the job's result — exactly what the serial call would return —
+// or its typed error. Into jobs return their step count
+// (StreamTicket[int]) and SubmitSolveIntoOpts its solve stats, with the
+// result itself in the caller's buffer.
+type StreamTicket[T any] = stream.Ticket[T]
+
+// StreamSolveTicket is the one-shot future of a Stream.SubmitSolveOpts
+// job: Wait returns a caller-owned solution vector and stats, exactly what
+// the serial one-shot solve.Solve would return.
 type StreamSolveTicket = stream.SolveTicket
-
-// StreamSolvePassTicket is the one-shot future of a Stream.SubmitSolveInto
-// job: the solution lands in the caller's buffer and Wait returns the
-// stats by value — the zero-allocation solve-as-a-service path.
-type StreamSolvePassTicket = stream.SolvePassTicket
-
-// StreamSparseBatchTicket is the one-shot future of a
-// Stream.SubmitSparseBatch job: k right-hand sides through one
-// pattern-keyed plan as a single ticket — one routing and admission
-// decision for the whole batch — with Wait returning one Result per
-// vector, each exactly what the per-vector serial solve would return.
-type StreamSparseBatchTicket = stream.SparseBatchTicket
 
 // NewStream starts a stream scheduler; Close it when done. Typical use:
 //
@@ -83,5 +78,12 @@ type StreamSparseBatchTicket = stream.SparseBatchTicket
 //	defer s.Close()
 //	t, err := s.SubmitMatVec(8, core.MatVecProblem{A: a, X: x})
 //	...
-//	res, err := t.Wait()
+//	res, err := t.Wait() // *core.MatVecResult
+//
+//	// Every Submit* takes an optional QoS; Into jobs write the caller's
+//	// buffer and allocate nothing once the shard is warm on the shape.
+//	p, err := s.SubmitMatVecInto(y, a, x, nil, 8, core.EngineCompiled,
+//		repro.StreamQoS{Deadline: time.Now().Add(time.Millisecond)})
+//	...
+//	steps, err := p.Wait()
 func NewStream(cfg StreamConfig) *Stream { return stream.New(cfg) }
