@@ -17,7 +17,8 @@
 // partially pivoted solve and the pivoted+refined solve on a row-scrambled
 // system, pricing what "no input returns garbage" costs over the unpivoted
 // fast path — the steady-state compiled
-// execution, and the batch throughput API. It emits
+// execution, one warm arena matmul pass on a trailing-tile shape (the layer
+// above it), and the batch throughput API. It emits
 // BENCH_<date>.json by default, extending the perf trajectory that future
 // changes are judged against; cmd/benchdiff compares two snapshots and
 // gates regressions in CI.
@@ -481,6 +482,32 @@ func main() {
 				schm.Exec(aPack, bPack, ext, oband)
 			}
 		}))
+	// One warm compiled hex pass at the arena layer, on the BlockLU
+	// trailing-tile shape of an n=64, w=4 solve (−L₂₁ 60×4, a 4×4 U₁₂
+	// tile, E the 60×4 A₂₂ tile): run-copy Â/B̂ packing, the compiled E
+	// gather, the replay kernel and the compiled C scatter. It sits
+	// between compiled-exec/matmul and the blocklu rows, and must stay at
+	// 0 allocs/op. Its own rng keeps the later rows' inputs unchanged.
+	{
+		const pw, pn = 4, 64
+		prng := rand.New(rand.NewSource(64))
+		pa := matrix.RandomDense(prng, pn-pw, pw, 3)
+		pb := matrix.RandomDense(prng, pw, pw, 3)
+		pe := matrix.RandomDense(prng, pn-pw, pw, 3)
+		dst := matrix.NewDense(pn-pw, pw)
+		plan := schedule.MatMulFor(dbt.NewMatMul(pa, pb, pw))
+		ar := core.NewArena()
+		entries = append(entries, bench(fmt.Sprintf("matmul-pass/w=%d/n=%d/compiled", pw, pn),
+			map[string]float64{"MACs": float64(plan.MACs), "plan-bytes": float64(plan.Bytes())}, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ar.Reset()
+					if _, err := ar.MatMulPass(dst, pa, pb, pe, pw, core.EngineCompiled); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}))
+	}
 
 	// Stream scheduler (E15): sustained compiled stream execution at shard
 	// counts {1, 2, NumCPU}. The single-job rows measure the submit →

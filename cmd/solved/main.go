@@ -32,7 +32,7 @@ func main() {
 	shards := flag.Int("shards", 0, "stream shards (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-shard queue bound (0 = default)")
 	policy := flag.String("policy", "shed", "admission when saturated: block or shed")
-	w := flag.Int("w", 4, "default simulated array size for requests that omit w")
+	w := flag.Int("w", 4, "default simulated array size for requests that omit w; requests may ask for at most max(n, this)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	flag.Parse()
 

@@ -189,20 +189,6 @@ func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int,
 	t := ar.mmT
 	t.Reset(a, b, w)
 	sch := ar.memo.MatMulFor(t)
-	aPack := ar.Floats(sch.Dim * w)
-	bPack := ar.Floats(sch.Dim * w)
-	t.PackAHat(aPack)
-	t.PackBHat(bPack)
-	ext := ar.Floats(len(sch.ExtInits))
-	if e == nil {
-		clear(ext)
-	} else {
-		for i, ei := range sch.ExtInits {
-			ext[i] = t.EPieceAt(e, ei.R, ei.S, ei.P, ei.A, ei.B)
-		}
-	}
-	oband := ar.Floats(sch.OLen())
-	sch.Exec(aPack, bPack, ext, oband)
-	extractMatMul(t, dst, func(rho, gamma int) float64 { return sch.OAt(oband, rho, gamma) })
+	replayMatMul(sch, t, dst, e, ar.Floats(sch.Dim*w), ar.Floats(sch.Dim*w), ar.Floats(len(sch.ExtInits)), ar.Floats(sch.OLen()))
 	return sch.T, nil
 }

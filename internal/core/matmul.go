@@ -123,23 +123,12 @@ func (s *MatMulSolver) solveCompiled(t *dbt.MatMul, a, b *matrix.Dense, opts Mat
 	defer schedule.PutFloats(aPack)
 	bPack := schedule.GetFloatsUninit(sch.Dim * s.w)
 	defer schedule.PutFloats(bPack)
-	t.PackAHat(*aPack)
-	t.PackBHat(*bPack)
-	ext := schedule.GetFloats(len(sch.ExtInits))
+	ext := schedule.GetFloatsUninit(len(sch.ExtInits))
 	defer schedule.PutFloats(ext)
-	if opts.E != nil {
-		for i, ei := range sch.ExtInits {
-			(*ext)[i] = t.EPieceAt(opts.E, ei.R, ei.S, ei.P, ei.A, ei.B)
-		}
-	}
 	oband := schedule.GetFloatsUninit(sch.OLen())
 	defer schedule.PutFloats(oband)
-	sch.Exec(*aPack, *bPack, *ext, *oband)
-
 	cFinal := matrix.NewDense(a.Rows(), b.Cols())
-	extractMatMul(t, cFinal, func(rho, gamma int) float64 {
-		return sch.OAt(*oband, rho, gamma)
-	})
+	replayMatMul(sch, t, cFinal, opts.E, *aPack, *bPack, *ext, *oband)
 
 	regular, irregular := sch.CopyDelays()
 	stats := MatMulStats{
@@ -229,14 +218,26 @@ func (s *MatMulSolver) program(t *dbt.MatMul, e *matrix.Dense) *hex.Program {
 	}
 }
 
-// cPieces are the three band pieces that partition a C block.
-var cPieces = [3]dbt.Piece{dbt.PieceD, dbt.PieceUMid, dbt.PieceLMid}
+// replayMatMul is the compiled hex pass, shared by Arena.MatMulPass and
+// MatMulSolver.solveCompiled: run-copy Â/B̂ packing, the E gather through
+// the plan's compiled map, the replay kernel, and the compiled C scatter
+// into dst (A.Rows()×B.Cols(), fully overwritten). The four buffers are the
+// caller's scratch with arbitrary contents (lengths Dim·w, Dim·w,
+// len(ExtInits), OLen()); e may be nil.
+func replayMatMul(sch *schedule.MatMul, t *dbt.MatMul, dst, e *matrix.Dense, aPack, bPack, ext, oband []float64) {
+	t.PackAHat(aPack)
+	t.PackBHat(bPack)
+	sch.GatherExt(ext, e)
+	sch.Exec(aPack, bPack, ext, oband)
+	sch.ScatterC(dst, oband)
+}
 
 // extractMatMul assembles C into dst — any shape up to the padded
 // n̄w × m̄w grid; every real C element is covered by an in-band position,
-// so dst is fully overwritten and needs no pre-zeroing — from an output
-// band reader (the structural engine's ProgResult.At or the compiled
-// engine's band buffer). It allocates nothing: the source piece of a C
+// so dst is fully overwritten and needs no pre-zeroing — from the
+// structural engine's output band reader (ProgResult.At). The compiled
+// engine scatters through the plan's precompiled map instead
+// (schedule.MatMul.ScatterC). It allocates nothing: the source piece of a C
 // piece always shares its triangular membership (CSource maps D→D,
 // strict-upper→strict-upper, strict-lower→strict-lower), so one membership
 // test per position replaces the position enumeration.
@@ -245,7 +246,7 @@ func extractMatMul(t *dbt.MatMul, dst *matrix.Dense, at func(rho, gamma int) flo
 	dim := t.Dim()
 	for r := 0; r < t.NBar; r++ {
 		for iB := 0; iB < t.MBar; iB++ {
-			for _, p := range cPieces {
+			for _, p := range dbt.CPieces {
 				row, src := t.CSource(r, iB, p)
 				off := t.PieceColOffset(src)
 				for la := 0; la < w; la++ {
@@ -254,7 +255,7 @@ func extractMatMul(t *dbt.MatMul, dst *matrix.Dense, at func(rho, gamma int) flo
 						continue
 					}
 					for lb := 0; lb < w; lb++ {
-						if !pieceMember(p, la, lb) {
+						if !p.Contains(la, lb) {
 							continue
 						}
 						j := iB*w + lb
@@ -268,18 +269,4 @@ func extractMatMul(t *dbt.MatMul, dst *matrix.Dense, at func(rho, gamma int) flo
 			}
 		}
 	}
-}
-
-// pieceMember reports whether local position (a, b) belongs to the triangle
-// shape of piece p of a C block.
-func pieceMember(p dbt.Piece, a, b int) bool {
-	switch p {
-	case dbt.PieceD:
-		return a == b
-	case dbt.PieceUMid:
-		return b > a
-	case dbt.PieceLMid:
-		return b < a
-	}
-	return false
 }

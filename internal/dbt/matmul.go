@@ -41,6 +41,10 @@ type MatMul struct {
 	AT *MatVec
 	// BGrid is the block partition of B (p̄ × m̄ grid).
 	BGrid *blockpart.Grid
+
+	// bT is PackBHat's scratch: the padded B grid transposed (m̄w × p̄w),
+	// kept so a reused transform packs without allocating.
+	bT []float64
 }
 
 // NewMatMul builds the matrix–matrix transformation for A (n×p), B (p×m)

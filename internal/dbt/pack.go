@@ -12,6 +12,8 @@ import (
 // simulators read coefficients one at a time through BandAt/AHatAt/BHatAt
 // closures; the compiled engine instead wants every coefficient laid out
 // contiguously so its inner loop is a pure stride-1 multiply–accumulate.
+// The DBT packers build that layout from runs of the padded block grids,
+// not through the per-element readers.
 //
 // Layouts:
 //
@@ -46,41 +48,88 @@ func (t *MatVecByColumns) PackBand(dst []float64) {
 // exactly what BandAt(i, i+d) returns, element for element.
 func packBandBlocks(dst []float64, g *blockpart.Grid, w, blocks int, upper, lower func(k int) (r, s int)) {
 	checkPack(dst, blocks*w, w)
-	padded := g.Padded()
+	raw, stride := g.Padded().Raw(), g.BlockCols*w
 	for k := 0; k < blocks; k++ {
 		ru, su := upper(k)
 		rl, sl := lower(k)
 		for a := 0; a < w; a++ {
+			// The runs are at most w long: element loops beat memmove
+			// calls at the array sizes the solvers use.
 			row := dst[(k*w+a)*w : (k*w+a+1)*w]
-			up := padded.RawRow(ru*w + a)[su*w : (su+1)*w]
-			copy(row, up[a:])
-			if a > 0 {
-				lo := padded.RawRow(rl*w + a)[sl*w : (sl+1)*w]
-				copy(row[w-a:], lo[:a])
+			up := raw[(ru*w+a)*stride+su*w+a : (ru*w+a)*stride+(su+1)*w]
+			for d, v := range up {
+				row[d] = v
+			}
+			lo := raw[(rl*w+a)*stride+sl*w : (rl*w+a)*stride+sl*w+a]
+			row = row[len(up):]
+			for d, v := range lo {
+				row[d] = v
 			}
 		}
 	}
 }
 
-// PackAHat writes Â into dst (len Dim·w) in upper-band packed layout.
+// PackAHat writes Â into dst (len Dim·w) in upper-band packed layout. Â
+// is the DBT-by-rows band of A repeated m̄ times plus the U′ tail, so the
+// regular rows are one packBandBlocks over t.AT followed by m̄−1 copies of
+// that span, and tail row a is row a of U_{0,0} from column a to w−2.
 func (t *MatMul) PackAHat(dst []float64) {
-	packUpper(dst, t.Dim(), t.Dim(), t.W, t.AHatAt)
+	w := t.W
+	checkPack(dst, t.Dim(), w)
+	at := t.AT
+	span := at.Blocks() * w * w
+	packBandBlocks(dst[:span], at.Grid, w, at.Blocks(), at.UpperIndex, at.LowerIndex)
+	for rep := 1; rep < t.MBar; rep++ {
+		copy(dst[rep*span:(rep+1)*span], dst[:span])
+	}
+	tail := dst[t.MBar*span:]
+	padded := at.Grid.Padded()
+	for a := 0; a < w-1; a++ {
+		row := tail[a*w : (a+1)*w]
+		clear(row[copy(row, padded.RawRow(a)[a:w-1]):])
+	}
 }
 
 // PackBHat writes B̂ into dst (len Dim·w) in lower-band by-column packed
-// layout: dst[j*w+d] = B̂[j+d][j].
+// layout: dst[j*w+d] = B̂[j+d][j]. The padded B grid is first transposed
+// into the transform's scratch (m̄w rows of p̄w), after which packed column
+// b of B̂ block c — block q = c mod p̄ of B column block iB — is two
+// contiguous runs of transposed row iB·w+b: rows b..w−1 of B_{q,iB}, then
+// rows 0..b−1 of B_{(q+1) mod p̄, iB}. The p̄ blocks of one iB repeat n̄
+// times, so each group is packed once and copied. The L′ tail column b is
+// B_{0,0}'s column b from row b to w−2.
 func (t *MatMul) PackBHat(dst []float64) {
-	n := t.Dim()
-	checkPack(dst, n, t.W)
-	for j := 0; j < n; j++ {
-		row := dst[j*t.W : (j+1)*t.W]
-		for d := range row {
-			if i := j + d; i < n {
-				row[d] = t.BHatAt(i, j)
-			} else {
-				row[d] = 0
+	w := t.W
+	checkPack(dst, t.Dim(), w)
+	pw, mw := t.PBar*w, t.MBar*w
+	t.bT = matrix.ReuseVec(t.bT, pw*mw)
+	bt := t.bT
+	src := t.BGrid.Padded().Raw()
+	for i := 0; i < pw; i++ {
+		for j, v := range src[i*mw : (i+1)*mw] {
+			bt[j*pw+i] = v
+		}
+	}
+	group := pw * w
+	for iB := 0; iB < t.MBar; iB++ {
+		g := dst[iB*t.NBar*group : (iB+1)*t.NBar*group]
+		for q := 0; q < t.PBar; q++ {
+			q1 := (q + 1) % t.PBar
+			for b := 0; b < w; b++ {
+				col := g[(q*w+b)*w : (q*w+b+1)*w]
+				row := bt[(iB*w+b)*pw : (iB*w+b+1)*pw]
+				n := copy(col, row[q*w+b:(q+1)*w])
+				copy(col[n:], row[q1*w:q1*w+b])
 			}
 		}
+		for r := 1; r < t.NBar; r++ {
+			copy(g[r*group:(r+1)*group], g[:group])
+		}
+	}
+	tail := dst[t.RegularBlocks()*w*w:]
+	for b := 0; b < w-1; b++ {
+		col := tail[b*w : (b+1)*w]
+		clear(col[copy(col, bt[b*pw+b:b*pw+w-1]):])
 	}
 }
 
@@ -112,21 +161,6 @@ func PackTriBand(l *matrix.Band, w int, dst []float64) {
 		for d := range row {
 			if j := i - d; j >= 0 {
 				row[d] = l.At(i, j)
-			} else {
-				row[d] = 0
-			}
-		}
-	}
-}
-
-// packUpper fills dst[i*w+d] = at(i, i+d) for j = i+d < cols, zero beyond.
-func packUpper(dst []float64, rows, cols, w int, at func(i, j int) float64) {
-	checkPack(dst, rows, w)
-	for i := 0; i < rows; i++ {
-		row := dst[i*w : (i+1)*w]
-		for d := range row {
-			if j := i + d; j < cols {
-				row[d] = at(i, j)
 			} else {
 				row[d] = 0
 			}

@@ -72,8 +72,9 @@ func (m *Dense) check(i, j int) {
 
 // RawRow returns row i as a slice sharing the matrix's backing storage —
 // no copy, no per-element bounds checks. It exists for the packed-band
-// exporters on the compiled-engine fast path; callers must not modify or
-// retain the slice.
+// exporters and the host loops on the compiled-engine fast path: writes
+// through the slice are writes to the matrix, so only the matrix's owner
+// may write, and nobody may retain the slice past the next Reuse.
 func (m *Dense) RawRow(i int) []float64 {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, m.rows))
@@ -134,6 +135,11 @@ func PadInto(dst, src *Dense, rows, cols int) *Dense {
 		panic(fmt.Sprintf("matrix: cannot pad %d×%d down to %d×%d", src.rows, src.cols, rows, cols))
 	}
 	dst = Reuse(dst, rows, cols)
+	if cols == src.cols {
+		// Row padding only: the rows are contiguous in both.
+		clear(dst.data[copy(dst.data, src.data):])
+		return dst
+	}
 	for i := 0; i < src.rows; i++ {
 		row := dst.data[i*cols : i*cols+cols]
 		copy(row, src.data[i*src.cols:(i+1)*src.cols])

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/dbt"
+	"repro/internal/matrix"
 )
 
 // Init kinds of a product-band position's accumulator.
@@ -69,9 +70,10 @@ func copyBins(bins []DelayBin) []DelayBin {
 }
 
 // ExtInit locates the E-block element injected at one position: element
-// (A, B) of triangular piece P of E block (R, S), resolved per Solve call
-// with dbt.MatMul.EPieceAt. The descriptors are shape-only; the values are
-// data.
+// (A, B) of triangular piece P of E block (R, S). The descriptors are
+// shape-only; the values are data, gathered per pass by GatherExt through
+// the compiled eSrc map (the oracle resolves the same element with
+// dbt.MatMul.EPieceAt).
 type ExtInit struct {
 	R, S int
 	P    dbt.Piece
@@ -111,10 +113,21 @@ type MatMul struct {
 	ExtInits []ExtInit
 
 	ops []matmulOp
+
+	// eSrc compiles ExtInits into padded E coordinates: ext[k] reads
+	// E[eSrc[k].i][eSrc[k].j], or 0 when that cell is padding.
+	eSrc []cell
+	// cSrc compiles the C extraction: padded C element (i, j), row-major
+	// over the n̄w × m̄w grid, is the output band entry o[cSrc[i·m̄w+j]].
+	cSrc []int32
 }
 
+// cell is a padded matrix coordinate.
+type cell struct{ i, j int32 }
+
 // compileMatMul builds the schedule for the shape of t. Only shape methods
-// of t are consulted (PieceAt, InitFor, PieceColOffset) — never data.
+// of t are consulted (PieceAt, InitFor, PieceColOffset, CSource) — never
+// data.
 func compileMatMul(t *dbt.MatMul) *MatMul {
 	w := t.W
 	dim := t.Dim()
@@ -210,24 +223,95 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 	}
 	s.regDelays = BinsFromHistogram(regular)
 	s.irrDelays = BinsFromHistogram(irregular)
+	s.eSrc = make([]cell, len(s.ExtInits))
+	for k, ei := range s.ExtInits {
+		if !ei.P.Contains(ei.A, ei.B) {
+			panic(fmt.Sprintf("schedule: E init %+v outside its piece", ei))
+		}
+		s.eSrc[k] = cell{int32(ei.R*w + ei.A), int32(ei.S*w + ei.B)}
+	}
+	s.cSrc = compileCSource(t, flat)
 	return s
+}
+
+// compileCSource maps every padded C element to the flat output band index
+// holding its final value (dbt.MatMul.CSource per block and piece). The
+// source piece of a C piece always shares its triangle shape, so one
+// membership test per local position places it. Every padded element has
+// exactly one source; compilation panics otherwise.
+func compileCSource(t *dbt.MatMul, flat func(rho, gamma int) int32) []int32 {
+	w, dim := t.W, t.Dim()
+	pw := t.MBar * w
+	src := make([]int32, t.NBar*w*pw)
+	for i := range src {
+		src[i] = -1
+	}
+	for r := 0; r < t.NBar; r++ {
+		for iB := 0; iB < t.MBar; iB++ {
+			for _, p := range dbt.CPieces {
+				row, piece := t.CSource(r, iB, p)
+				off := t.PieceColOffset(piece)
+				for la := 0; la < w; la++ {
+					for lb := 0; lb < w; lb++ {
+						if !p.Contains(la, lb) {
+							continue
+						}
+						rho, gamma := row*w+la, row*w+off+lb
+						if rho >= dim || gamma < 0 || gamma >= dim {
+							panic(fmt.Sprintf("schedule: C source (%d,%d) outside band matrix %d", rho, gamma, dim))
+						}
+						src[(r*w+la)*pw+iB*w+lb] = flat(rho, gamma)
+					}
+				}
+			}
+		}
+	}
+	if i := slices.Index(src, -1); i >= 0 {
+		panic(fmt.Sprintf("schedule: padded C element (%d,%d) has no source", i/pw, i%pw))
+	}
+	return src
+}
+
+// GatherExt fills ext (len ≥ len(ExtInits)) with the E values the plan
+// injects, read through the compiled padded-coordinate map; e == nil means
+// zero E. e may be any shape up to the padded n̄w × m̄w grid: cells past
+// its real dims are padding and read 0.
+func (s *MatMul) GatherExt(ext []float64, e *matrix.Dense) {
+	ext = ext[:len(s.eSrc)]
+	if e == nil {
+		clear(ext)
+		return
+	}
+	rows, cols, raw := e.Rows(), e.Cols(), e.Raw()
+	for k, c := range s.eSrc {
+		v := 0.0
+		if int(c.i) < rows && int(c.j) < cols {
+			v = raw[int(c.i)*cols+int(c.j)]
+		}
+		ext[k] = v
+	}
+}
+
+// ScatterC writes C from an output band filled by Exec into dst, which may
+// be any shape up to the padded n̄w × m̄w grid; every element of dst is
+// overwritten, so it needs no pre-zeroing.
+func (s *MatMul) ScatterC(dst *matrix.Dense, o []float64) {
+	pw := s.MBar * s.W
+	rows, cols := dst.Rows(), dst.Cols()
+	if rows > s.NBar*s.W || cols > pw {
+		panic(fmt.Sprintf("schedule: ScatterC dst %d×%d exceeds padded %d×%d", rows, cols, s.NBar*s.W, pw))
+	}
+	o = o[:s.OLen()]
+	for i := 0; i < rows; i++ {
+		row := dst.RawRow(i)
+		for j, idx := range s.cSrc[i*pw : i*pw+cols] {
+			row[j] = o[idx]
+		}
+	}
 }
 
 // OLen returns the length of the flat output band buffer: Dim·(2w−1).
 func (s *MatMul) OLen() int { return s.Dim * s.Band }
-
-// OAt reads the output band value O[ρ][γ] from a buffer filled by Exec.
-// Out-of-band positions read 0 (mirroring hex.ProgResult.At), and so do
-// positions outside the band matrix: their flat slots exist in the buffer
-// but no op ever writes them, which matters because Exec output buffers
-// may come from the pool uninitialized.
-func (s *MatMul) OAt(o []float64, rho, gamma int) float64 {
-	f := gamma - rho
-	if f <= -s.W || f >= s.W || rho < 0 || rho >= s.Dim || gamma < 0 || gamma >= s.Dim {
-		return 0
-	}
-	return o[rho*s.Band+f+s.W-1]
-}
 
 // Exec runs the compiled schedule over one problem's data. aPack/bPack are
 // the packed bands (dbt.PackAHat/PackBHat layouts, len Dim·w), ext the
@@ -264,7 +348,8 @@ func (s *MatMul) Exec(aPack, bPack, ext, o []float64) {
 // Bytes returns the resident size of the compiled descriptors — the memory
 // the plan cache pays per shape.
 func (s *MatMul) Bytes() int {
-	return len(s.ops)*20 + len(s.ExtInits)*40 + (len(s.regDelays)+len(s.irrDelays))*16
+	return len(s.ops)*20 + len(s.ExtInits)*40 + len(s.eSrc)*8 + len(s.cSrc)*4 +
+		(len(s.regDelays)+len(s.irrDelays))*16
 }
 
 // Utilization returns MACs/(w²·T) over the measured operation count.

@@ -113,7 +113,9 @@ func TestMatVecExecAgainstBlockRecurrence(t *testing.T) {
 }
 
 // TestMatMulExecAgainstReferenceRun checks the compiled matmul execution
-// against dbt's block-level reference (including E and feedback chaining).
+// against dbt's block-level reference (including E and feedback chaining),
+// and the compiled E gather and C scatter against EPieceAt and the
+// reference C.
 func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, w := range []int{1, 2, 3} {
@@ -134,12 +136,20 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 			tr.PackAHat(aPack)
 			tr.PackBHat(bPack)
 			ext := make([]float64, len(sch.ExtInits))
+			sch.GatherExt(ext, e)
 			for i, ei := range sch.ExtInits {
-				ext[i] = tr.EPieceAt(e, ei.R, ei.S, ei.P, ei.A, ei.B)
+				if want := tr.EPieceAt(e, ei.R, ei.S, ei.P, ei.A, ei.B); ext[i] != want {
+					t.Fatalf("w=%d %d×%d·%d×%d (E=%v): ext[%d] = %g, EPieceAt %g", w, n, p, p, m, e != nil, i, ext[i], want)
+				}
 			}
 			o := make([]float64, sch.OLen())
 			sch.Exec(aPack, bPack, ext, o)
-			rec, _ := tr.ReferenceRun(e)
+			rec, c := tr.ReferenceRun(e)
+			dst := matrix.NewDense(n, m)
+			sch.ScatterC(dst, o)
+			if !dst.Equal(c, 0) {
+				t.Fatalf("w=%d %d×%d·%d×%d (E=%v): ScatterC differs from the reference C by %g", w, n, p, p, m, e != nil, dst.MaxAbsDiff(c))
+			}
 			for rho := 0; rho < sch.Dim; rho++ {
 				for f := -(w - 1); f <= w-1; f++ {
 					gamma := rho + f
@@ -147,7 +157,7 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 						continue
 					}
 					k, piece, la, lb := tr.PieceAt(rho, gamma)
-					if got, want := sch.OAt(o, rho, gamma), rec.At(k, piece, la, lb); got != want {
+					if got, want := o[rho*sch.Band+f+w-1], rec.At(k, piece, la, lb); got != want {
 						t.Fatalf("w=%d %d×%d·%d×%d (E=%v): O[%d][%d] = %g, reference %g",
 							w, n, p, p, m, e != nil, rho, gamma, got, want)
 					}
@@ -158,10 +168,13 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 }
 
 // TestPackedBandsMatchReaders: the packed exporters must agree element for
-// element with the closure readers they replace.
+// element with the closure readers they replace, including the zero slots
+// past the band matrix in the matmul tail rows. The matmul shapes cover
+// p̄, m̄ ≥ 2 (the (q+1) mod p̄ wrap and the n̄-fold group copies), exact
+// and ragged dims, and single-block grids.
 func TestPackedBandsMatchReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 3, 4, 8} {
 		a := matrix.RandomDense(rng, 3*w+1, 2*w+1, 5)
 		for _, tr := range []dbt.Transform{dbt.NewMatVec(a, w), dbt.NewMatVecByColumns(a, w)} {
 			band := make([]float64, tr.BandRows()*w)
@@ -178,20 +191,37 @@ func TestPackedBandsMatchReaders(t *testing.T) {
 				}
 			}
 		}
-		b := matrix.RandomDense(rng, 2*w+1, 3*w+1, 5)
-		mm := dbt.NewMatMul(a, b, w)
-		aPack := make([]float64, mm.Dim()*w)
-		bPack := make([]float64, mm.Dim()*w)
-		mm.PackAHat(aPack)
-		mm.PackBHat(bPack)
-		for i := 0; i < mm.Dim(); i++ {
-			for d := 0; d < w; d++ {
-				if j := i + d; j < mm.Dim() {
-					if aPack[i*w+d] != mm.AHatAt(i, j) {
-						t.Fatalf("Â w=%d (%d,%d): packed %g, reader %g", w, i, j, aPack[i*w+d], mm.AHatAt(i, j))
+		shapes := [][3]int{
+			{3*w + 1, 2*w + 1, 3*w + 1}, // n̄=4 p̄=3 m̄=4, ragged
+			{2 * w, 2 * w, 2 * w},       // exact, p̄ = m̄ = 2
+			{3*w - 1, w, w},             // trailing-tile shape: p̄ = m̄ = 1
+			{w, 3 * w, 2*w - 1},         // n̄ = 1
+			{1, 1, 1},
+		}
+		mm := &dbt.MatMul{} // reused across shapes, as the arenas do
+		for _, sh := range shapes {
+			am := matrix.RandomDense(rng, sh[0], sh[1], 5)
+			bm := matrix.RandomDense(rng, sh[1], sh[2], 5)
+			mm.Reset(am, bm, w)
+			dim := mm.Dim()
+			aPack := make([]float64, dim*w)
+			bPack := make([]float64, dim*w)
+			for i := range aPack {
+				aPack[i], bPack[i] = 99, 99 // stale contents must be overwritten
+			}
+			mm.PackAHat(aPack)
+			mm.PackBHat(bPack)
+			for i := 0; i < dim; i++ {
+				for d := 0; d < w; d++ {
+					wantA, wantB := 0.0, 0.0
+					if j := i + d; j < dim {
+						wantA, wantB = mm.AHatAt(i, j), mm.BHatAt(j, i)
 					}
-					if bPack[i*w+d] != mm.BHatAt(j, i) {
-						t.Fatalf("B̂ w=%d (%d,%d): packed %g, reader %g", w, j, i, bPack[i*w+d], mm.BHatAt(j, i))
+					if aPack[i*w+d] != wantA {
+						t.Fatalf("Â w=%d shape %v (%d,+%d): packed %g, reader %g", w, sh, i, d, aPack[i*w+d], wantA)
+					}
+					if bPack[i*w+d] != wantB {
+						t.Fatalf("B̂ w=%d shape %v (+%d,%d): packed %g, reader %g", w, sh, d, i, bPack[i*w+d], wantB)
 					}
 				}
 			}

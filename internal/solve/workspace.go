@@ -128,64 +128,36 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 			if err := ws.pivotPanel(k0, k1); err != nil {
 				return nil, nil, nil, err
 			}
-		} else {
-			// Host: factor the diagonal block (Doolittle, unit L).
-			for i := k0; i < k1; i++ {
-				for j := k0; j < k1; j++ {
-					s := work.At(i, j)
-					for t := k0; t < min(i, j); t++ {
-						s -= lf.At(i, t) * uf.At(t, j)
-						stats.HostOps += 2
-					}
-					if j >= i {
-						uf.Set(i, j, s)
-					} else {
-						if uf.At(j, j) == 0 {
-							return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
-						}
-						lf.Set(i, j, s/uf.At(j, j))
-						stats.HostOps++
-					}
-				}
-				lf.Set(i, i, 1)
-			}
-			// Host: L₂₁ = A₂₁·U₁₁⁻¹ (back substitution per row).
-			for i := k1; i < n; i++ {
-				for j := k0; j < k1; j++ {
-					s := work.At(i, j)
-					for t := k0; t < j; t++ {
-						s -= lf.At(i, t) * uf.At(t, j)
-						stats.HostOps += 2
-					}
-					if uf.At(j, j) == 0 {
-						return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
-					}
-					lf.Set(i, j, s/uf.At(j, j))
-					stats.HostOps++
-				}
-			}
+		} else if err := ws.factorPanel(k0, k1); err != nil {
+			return nil, nil, nil, err
 		}
 		if k1 == n {
 			break
 		}
-		// Host: U₁₂ = L₁₁⁻¹·A₁₂ (forward substitution per column).
-		for j := k1; j < n; j++ {
-			for i := k0; i < k1; i++ {
-				s := work.At(i, j)
-				for t := k0; t < i; t++ {
-					s -= lf.At(i, t) * uf.At(t, j)
-					stats.HostOps += 2
+		// Host: U₁₂ = L₁₁⁻¹·A₁₂ by forward substitution, swept row by row
+		// so every run is contiguous. Element (i, j) still starts from
+		// A(i, j) and subtracts L(i, t)·U(t, j) for t increasing: the
+		// rounding is that of the per-element recurrence.
+		for i := k0; i < k1; i++ {
+			li, ui := lf.RawRow(i), uf.RawRow(i)[k1:n]
+			copy(ui, work.RawRow(i)[k1:n])
+			for t := k0; t < i; t++ {
+				lit, ut := li[t], uf.RawRow(t)[k1:n]
+				ut = ut[:len(ui)]
+				for j := range ui {
+					ui[j] -= lit * ut[j]
 				}
-				uf.Set(i, j, s)
 			}
+			stats.HostOps += 2 * (i - k0) * (n - k1)
 		}
 		// Array: trailing update A₂₂ ← (−L₂₁)·U₁₂ + A₂₂, one pass per
 		// w-wide column tile — the independent panel updates of this
 		// elimination step. The pass set never depends on the worker count.
 		ws.negL = matrix.Reuse(ws.negL, n-k1, k1-k0)
 		for i := k1; i < n; i++ {
-			for j := k0; j < k1; j++ {
-				ws.negL.Set(i-k1, j-k0, -lf.At(i, j))
+			dst := ws.negL.RawRow(i - k1)
+			for j, v := range lf.RawRow(i)[k0:k1] {
+				dst[j] = -v
 			}
 		}
 		count := (n - k1 + w - 1) / w
@@ -219,6 +191,58 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		stats.ArrayPasses += count
 	}
 	return lf, uf, stats, nil
+}
+
+// factorPanel is the unpivoted host phase of one elimination step: the
+// diagonal block is factored in place (Doolittle, unit L) and L₂₁ =
+// A₂₁·U₁₁⁻¹ solved by back substitution per row. It works on raw rows
+// with each element's operations in recurrence order, so results and
+// HostOps match the element-wise formulation exactly. A zero pivot
+// returns *SingularError with its global column index.
+func (ws *Workspace) factorPanel(k0, k1 int) error {
+	work, lf, uf := ws.work, ws.l, ws.u
+	n := work.Rows()
+	stats := &ws.lu
+	ud := uf.Raw()
+	for i := k0; i < k1; i++ {
+		wi, li, ui := work.RawRow(i), lf.RawRow(i), uf.RawRow(i)
+		for j := k0; j < k1; j++ {
+			s := wi[j]
+			m := min(i, j)
+			for t := k0; t < m; t++ {
+				s -= li[t] * ud[t*n+j]
+			}
+			stats.HostOps += 2 * (m - k0)
+			if j >= i {
+				ui[j] = s
+			} else {
+				piv := ud[j*n+j]
+				if piv == 0 {
+					return &SingularError{Op: "solve.BlockLU", Index: j}
+				}
+				li[j] = s / piv
+				stats.HostOps++
+			}
+		}
+		li[i] = 1
+	}
+	for i := k1; i < n; i++ {
+		wi, li := work.RawRow(i), lf.RawRow(i)
+		for j := k0; j < k1; j++ {
+			s := wi[j]
+			for t := k0; t < j; t++ {
+				s -= li[t] * ud[t*n+j]
+			}
+			stats.HostOps += 2 * (j - k0)
+			piv := ud[j*n+j]
+			if piv == 0 {
+				return &SingularError{Op: "solve.BlockLU", Index: j}
+			}
+			li[j] = s / piv
+			stats.HostOps++
+		}
+	}
+	return nil
 }
 
 // pivotPanel is the PivotPartial host phase of one elimination step: the
@@ -258,19 +282,18 @@ func (ws *Workspace) pivotPanel(k0, k1 int) error {
 			ws.perm[p], ws.perm[j] = ws.perm[j], ws.perm[p]
 			stats.RowSwaps++
 		}
-		piv := work.At(j, j)
-		for t := j; t < k1; t++ {
-			uf.Set(j, t, work.At(j, t))
-		}
+		wj := work.RawRow(j)[:k1]
+		piv := wj[j]
+		copy(uf.RawRow(j)[j:k1], wj[j:])
 		lf.Set(j, j, 1)
 		for i := j + 1; i < n; i++ {
-			m := work.At(i, j) / piv
-			stats.HostOps++
+			wi := work.RawRow(i)[:k1]
+			m := wi[j] / piv
 			lf.Set(i, j, m)
 			for t := j + 1; t < k1; t++ {
-				work.Set(i, t, work.At(i, t)-m*work.At(j, t))
-				stats.HostOps += 2
+				wi[t] -= m * wj[t]
 			}
+			stats.HostOps += 1 + 2*(k1-j-1)
 		}
 	}
 	return nil

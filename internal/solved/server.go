@@ -14,7 +14,8 @@
 // (stream.ErrSaturated) returns 429 with a Retry-After header, a
 // singular system (*solve.SingularError) returns 422 with the pivot index,
 // an unconverged refinement (*solve.IllConditionedError) returns 422 with
-// the condition report, malformed requests return 400, a closed stream
+// the condition report, malformed requests (including an array size w
+// above max(n, the default w)) return 400, a closed stream
 // returns 503, anything else (a recovered job panic, or a solution JSON
 // cannot carry, such as a NaN) returns 500. The handler holds no state of
 // its own beyond the scheduler: every request is one ticket, submitted
@@ -42,7 +43,8 @@ type Request struct {
 	A [][]float64 `json:"a"`
 	// D is the right-hand side; len(D) must equal len(A).
 	D []float64 `json:"d"`
-	// W is the simulated array size (0 means the server's default).
+	// W is the simulated array size (0 means the server's default); at
+	// most max(n, the server's default).
 	W int `json:"w,omitempty"`
 	// Engine selects the execution engine: "auto" (or empty), "compiled",
 	// "oracle". Both engines return bit-identical solutions.
@@ -123,6 +125,7 @@ type Config struct {
 	// own it: Close it separately, after the HTTP server drains.
 	Stream *stream.Scheduler
 	// W is the array size used when a request omits w (values < 1 mean 4).
+	// It also caps a request's w at max(n, W).
 	W int
 	// RetryAfter is the Retry-After hint on 429 responses, rounded up to
 	// whole seconds (values <= 0 mean 1s).
@@ -199,6 +202,13 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 	}
 	if w < 1 {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: invalid array size %d", body.W))
+		return
+	}
+	// The solve allocates O(w) per array and keeps one workspace per
+	// distinct w on the shard, so w is bounded by what the system can use:
+	// an array wider than n does no more work, only costs memory.
+	if limit := max(n, srv.w); w > limit {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: array size %d exceeds max(n, default w) = %d", w, limit))
 		return
 	}
 	var eng core.Engine

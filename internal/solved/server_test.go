@@ -340,6 +340,40 @@ func TestSolveEndpoint400(t *testing.T) {
 	}
 }
 
+// TestSolveEndpointArraySizeBound: w is capped at max(n, default w), so a
+// 1×1 system cannot ask the shard for a billion-PE array (about 8 GB of
+// scratch plus a kept workspace per distinct w). The bound admits every
+// w up to n, and the default w even when n is smaller.
+func TestSolveEndpointArraySizeBound(t *testing.T) {
+	ts, s := newTestServer(t, stream.Config{Shards: 1})
+	for _, c := range []Request{
+		{A: [][]float64{{2}}, D: []float64{4}, W: 1000000000},
+		{A: [][]float64{{2}}, D: []float64{4}, W: 5}, // default w is 4
+		{A: [][]float64{{4, 1}, {1, 3}}, D: []float64{1, 2}, W: 5},
+	} {
+		var got ErrorResponse
+		if resp := postSolve(t, ts, c, &got); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("n=%d w=%d: status %d, want 400", len(c.A), c.W, resp.StatusCode)
+		} else if got.Error == "" {
+			t.Errorf("n=%d w=%d: 400 response carries no error message", len(c.A), c.W)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("oversized arrays reached the scheduler: %+v", st)
+	}
+	rows := [][]float64{{4, 1, 0, 0, 0}, {1, 4, 1, 0, 0}, {0, 1, 4, 1, 0}, {0, 0, 1, 4, 1}, {0, 0, 0, 1, 4}}
+	for _, c := range []Request{
+		{A: [][]float64{{2}}, D: []float64{4}},       // default w
+		{A: [][]float64{{2}}, D: []float64{4}, W: 4}, // default w above n
+		{A: rows, D: []float64{1, 2, 3, 4, 5}, W: 5}, // w = n above default
+	} {
+		var got Response
+		if resp := postSolve(t, ts, c, &got); resp.StatusCode != http.StatusOK {
+			t.Errorf("n=%d w=%d: status %d, want 200", len(c.A), c.W, resp.StatusCode)
+		}
+	}
+}
+
 // TestSolveEndpoint405And503: wrong methods return 405 with an Allow
 // header; a closed stream returns 503.
 func TestSolveEndpoint405And503(t *testing.T) {

@@ -126,12 +126,13 @@ func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix
 		panic(fmt.Sprintf("trisolve: SolveLowerInto dst len %d, want %d", len(dst), n))
 	}
 	for i := 0; i < n; i++ {
-		if l.At(i, i) == 0 {
+		row := l.RawRow(i)
+		if row[i] == 0 {
 			return stats, &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
 		}
-		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				return stats, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
+		for j, v := range row[i+1:] {
+			if v != 0 {
+				return stats, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, i+1+j)
 			}
 		}
 	}
@@ -218,9 +219,10 @@ func (tw *Workspace) solveDiagonal(dst matrix.Vector, l *matrix.Dense, lo, hi in
 	tw.lpack = matrix.ReuseVec(tw.lpack, d*w)
 	for r := 0; r < d; r++ {
 		row := tw.lpack[r*w : (r+1)*w]
+		src := l.RawRow(lo + r)[lo : lo+r+1]
 		for k := range row {
-			if r-k >= 0 {
-				row[k] = l.At(lo+r, lo+r-k)
+			if k <= r {
+				row[k] = src[r-k]
 			} else {
 				row[k] = 0
 			}
@@ -272,8 +274,9 @@ func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix
 	}
 	tw.mirror = matrix.Reuse(tw.mirror, n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			tw.mirror.Set(i, j, u.At(n-1-i, n-1-j))
+		dst, src := tw.mirror.RawRow(i), u.RawRow(n-1-i)
+		for j := range dst {
+			dst[j] = src[n-1-j]
 		}
 	}
 	tw.revb = matrix.ReuseVec(tw.revb, n)
