@@ -87,8 +87,8 @@ func (ar *Arena) Plans() *schedule.PlanMemo { return ar.memo }
 // Kept returns the long-lived value cached under key by Keep, or nil when
 // none is. Kept values survive Reset exactly like plans and transforms do:
 // they are the arena's workspace pool, letting higher layers that core
-// cannot import (the stream scheduler's solve tickets keep a warm
-// solve.Workspace per array size this way) attach per-shard steady state
+// cannot import (the stream scheduler's solve tickets keep a bounded pool
+// of warm solve.Workspaces this way) attach per-shard steady state
 // to the shard's arena. The uint64 key space is the caller's to partition;
 // the hit path is a plain map lookup — no boxing, no allocation.
 func (ar *Arena) Kept(key uint64) interface{} { return ar.kept[key] }

@@ -48,22 +48,17 @@ func (t *MatVecByColumns) PackBand(dst []float64) {
 // exactly what BandAt(i, i+d) returns, element for element.
 func packBandBlocks(dst []float64, g *blockpart.Grid, w, blocks int, upper, lower func(k int) (r, s int)) {
 	checkPack(dst, blocks*w, w)
-	raw, stride := g.Padded().Raw(), g.BlockCols*w
+	padded := g.Padded()
 	for k := 0; k < blocks; k++ {
 		ru, su := upper(k)
 		rl, sl := lower(k)
 		for a := 0; a < w; a++ {
-			// The runs are at most w long: element loops beat memmove
-			// calls at the array sizes the solvers use.
 			row := dst[(k*w+a)*w : (k*w+a+1)*w]
-			up := raw[(ru*w+a)*stride+su*w+a : (ru*w+a)*stride+(su+1)*w]
-			for d, v := range up {
-				row[d] = v
-			}
-			lo := raw[(rl*w+a)*stride+sl*w : (rl*w+a)*stride+sl*w+a]
-			row = row[len(up):]
-			for d, v := range lo {
-				row[d] = v
+			up := padded.RawRow(ru*w + a)[su*w : (su+1)*w]
+			copy(row, up[a:])
+			if a > 0 {
+				lo := padded.RawRow(rl*w + a)[sl*w : (sl+1)*w]
+				copy(row[w-a:], lo[:a])
 			}
 		}
 	}

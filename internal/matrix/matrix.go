@@ -135,11 +135,6 @@ func PadInto(dst, src *Dense, rows, cols int) *Dense {
 		panic(fmt.Sprintf("matrix: cannot pad %d×%d down to %d×%d", src.rows, src.cols, rows, cols))
 	}
 	dst = Reuse(dst, rows, cols)
-	if cols == src.cols {
-		// Row padding only: the rows are contiguous in both.
-		clear(dst.data[copy(dst.data, src.data):])
-		return dst
-	}
 	for i := 0; i < src.rows; i++ {
 		row := dst.data[i*cols : i*cols+cols]
 		copy(row, src.data[i*src.cols:(i+1)*src.cols])

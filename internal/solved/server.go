@@ -204,9 +204,10 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: invalid array size %d", body.W))
 		return
 	}
-	// The solve allocates O(w) per array and keeps one workspace per
-	// distinct w on the shard, so w is bounded by what the system can use:
-	// an array wider than n does no more work, only costs memory.
+	// The solve allocates O(w) per array, so w is bounded by what the
+	// system can use: an array wider than n does no more work, only costs
+	// memory. (What a shard keeps across requests is bounded separately,
+	// by the stream's per-shard workspace pool.)
 	if limit := max(n, srv.w); w > limit {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: array size %d exceeds max(n, default w) = %d", w, limit))
 		return

@@ -342,7 +342,7 @@ func TestSolveEndpoint400(t *testing.T) {
 
 // TestSolveEndpointArraySizeBound: w is capped at max(n, default w), so a
 // 1×1 system cannot ask the shard for a billion-PE array (about 8 GB of
-// scratch plus a kept workspace per distinct w). The bound admits every
+// scratch). The bound admits every
 // w up to n, and the default w even when n is smaller.
 func TestSolveEndpointArraySizeBound(t *testing.T) {
 	ts, s := newTestServer(t, stream.Config{Shards: 1})
@@ -493,5 +493,40 @@ func TestSolveEndpointPriorityLow(t *testing.T) {
 	}
 	if st := s.Stats(); st.ShedLow != 1 || st.ShedHigh != 0 {
 		t.Errorf("stats %+v, want the shed accounted to the Low class", st)
+	}
+}
+
+// TestSolveEndpointManyArraySizes: every admissible w of one system, sent
+// to a single shard twice over, answers 200 bit-identical to the serial
+// solve — the shard's bounded workspace pool rebuilds evicted sizes
+// instead of keeping one workspace per distinct w.
+func TestSolveEndpointManyArraySizes(t *testing.T) {
+	ts, _ := newTestServer(t, stream.Config{Shards: 1})
+	const n = 10
+	a := matrix.RandomDense(rand.New(rand.NewSource(23)), n, n, 2)
+	rows := make([][]float64, n)
+	d := make([]float64, n)
+	for i := range rows {
+		a.Set(i, i, 30)
+		rows[i] = make([]float64, n)
+		for j := range rows[i] {
+			rows[i][j] = a.At(i, j)
+		}
+		d[i] = float64(i + 1)
+	}
+	for round := 0; round < 2; round++ {
+		for w := 1; w <= n; w++ {
+			var got Response
+			if resp := postSolve(t, ts, Request{A: rows, D: d, W: w}, &got); resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d w=%d: status %d, want 200", round, w, resp.StatusCode)
+			}
+			wantX, wantStats, err := solve.Solve(a, d, w, solve.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(matrix.Vector(got.X), wantX) || !reflect.DeepEqual(got.Stats, *wantStats) {
+				t.Errorf("round %d w=%d: HTTP solve diverged from serial", round, w)
+			}
+		}
 	}
 }

@@ -11,31 +11,59 @@ import (
 // Solve-as-a-service: the paper's headline workload — the full direct
 // solve, BlockLU plus both triangular phases — streamed through the same
 // sharded runtime as the matvec/matmul/sparse tickets. Each shard's arena
-// keeps one warm solve.Workspace per array size (built on first use via
-// solve.NewWorkspaceArena, cached with core.Arena.Keep), so a repeating
-// stream of solves reuses the shard's compiled plans and, on the Into
-// variant, allocates nothing once warm. Solve jobs participate in EWMA
-// admission, priority classes, expiry-while-queued and panic isolation
-// exactly like every other job kind: they share the one pooled job.
+// keeps a small pool of warm solve.Workspaces, one per recently used array
+// size (built on first use via solve.NewWorkspaceArena, cached with
+// core.Arena.Keep), so a repeating stream of solves reuses the shard's
+// compiled plans and, on the Into variant, allocates nothing once warm.
+// Solve jobs participate in EWMA admission, priority classes,
+// expiry-while-queued and panic isolation exactly like every other job
+// kind: they share the one pooled job.
 
-// solveKeepBase partitions core.Arena's Keep key space for the stream's
-// solve workspaces: workspace for array size w lives under key
-// w<<8 | solveKeepBase. Nothing else in the repository keys that space.
-const solveKeepBase uint64 = 0x50
+// solveKeepKey is the core.Arena Keep key of a shard's solvePool. Nothing
+// else in the repository keys it.
+const solveKeepKey uint64 = 0x50
+
+// keptSolveWorkspaces bounds the warm solve workspaces one shard keeps.
+// Each holds n×n work, L and U buffers for the largest system it has
+// solved, so keeping one per distinct array size would let a stream of
+// distinct sizes pin memory without limit.
+const keptSolveWorkspaces = 4
+
+// solvePool is a shard's warm solve workspaces, one per array size, the
+// least recently used evicted when a new size needs a slot.
+type solvePool struct {
+	ws    [keptSolveWorkspaces]*solve.Workspace
+	w     [keptSolveWorkspaces]int
+	used  [keptSolveWorkspaces]uint64
+	clock uint64
+}
 
 // arenaSolveWorkspace returns the running shard's warm solve workspace for
-// array size w, building one on the shard's arena the first time the shard
-// sees that size. The workspace shares the arena's PlanMemo with the
-// shard's pass jobs and survives arena Resets, so every later solve of the
-// same size on this shard is plan-warm. The hit path is one map lookup and
-// one type assertion — no allocation.
+// array size w, building one on the shard's arena when the shard's pool
+// holds none for that size. The workspace shares the arena's PlanMemo with
+// the shard's pass jobs and survives arena Resets, so every later solve of
+// the same size on this shard is plan-warm while the size stays among the
+// pool's keptSolveWorkspaces most recently used. The hit path is one map
+// lookup, one type assertion and a scan of the pool — no allocation.
 func arenaSolveWorkspace(ar *core.Arena, w int) *solve.Workspace {
-	key := uint64(w)<<8 | solveKeepBase
-	if ws, ok := ar.Kept(key).(*solve.Workspace); ok {
-		return ws
+	p, _ := ar.Kept(solveKeepKey).(*solvePool)
+	if p == nil {
+		p = &solvePool{}
+		ar.Keep(solveKeepKey, p)
+	}
+	p.clock++
+	victim := 0
+	for i, ws := range p.ws {
+		if ws != nil && p.w[i] == w {
+			p.used[i] = p.clock
+			return ws
+		}
+		if p.used[i] < p.used[victim] {
+			victim = i
+		}
 	}
 	ws := solve.NewWorkspaceArena(w, ar)
-	ar.Keep(key, ws)
+	p.ws[victim], p.w[victim], p.used[victim] = ws, w, p.clock
 	return ws
 }
 

@@ -462,3 +462,87 @@ func TestSolveStreamValidation(t *testing.T) {
 		t.Errorf("validation failures consumed admissions: %+v", st)
 	}
 }
+
+// TestSolveWorkspacePoolBounded: a shard keeps at most keptSolveWorkspaces
+// warm solve workspaces, evicting the least recently used array size, so
+// a stream of distinct sizes cannot pin one n×n workspace per size. Solves
+// on rebuilt and evicted-then-rebuilt workspaces stay bit-identical to
+// the serial one-shot solve, directly on an arena and through a
+// one-shard scheduler.
+func TestSolveWorkspacePoolBounded(t *testing.T) {
+	const n = 12
+	a, d := ddSystem(rand.New(rand.NewSource(31)), n)
+	opts := solve.Options{Engine: core.EngineCompiled}
+	check := func(ws *solve.Workspace, w int) {
+		t.Helper()
+		x, stats, err := ws.Solve(a, d, opts)
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		wantX, wantStats, err := solve.Solve(a, d, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(x, wantX) || !reflect.DeepEqual(stats, wantStats) {
+			t.Errorf("w=%d: pooled workspace diverged from serial", w)
+		}
+	}
+
+	ar := core.NewArena()
+	built := map[int]*solve.Workspace{}
+	for w := 1; w <= n; w++ {
+		built[w] = arenaSolveWorkspace(ar, w)
+		check(built[w], w)
+	}
+	p := ar.Kept(solveKeepKey).(*solvePool)
+	var kept []int
+	for i, ws := range p.ws {
+		if ws != nil {
+			kept = append(kept, p.w[i])
+		}
+	}
+	if len(kept) != keptSolveWorkspaces {
+		t.Fatalf("pool holds %d workspaces after %d sizes, want %d", len(kept), n, keptSolveWorkspaces)
+	}
+	for w := n - keptSolveWorkspaces + 1; w <= n; w++ {
+		if arenaSolveWorkspace(ar, w) != built[w] {
+			t.Errorf("w=%d: recently used workspace was not kept warm", w)
+		}
+	}
+	// w = n−keptSolveWorkspaces+1 is now the least recently used size, so
+	// rebuilding w = 1 evicts it and keeps the others.
+	oldest := n - keptSolveWorkspaces + 1
+	if ws := arenaSolveWorkspace(ar, 1); ws == built[1] {
+		t.Error("w=1: evicted workspace came back")
+	} else {
+		check(ws, 1)
+	}
+	if arenaSolveWorkspace(ar, n) != built[n] {
+		t.Errorf("w=%d: evicted instead of the least recently used size", n)
+	}
+	if arenaSolveWorkspace(ar, oldest) == built[oldest] {
+		t.Errorf("w=%d: least recently used size was not the one evicted", oldest)
+	}
+
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	for round := 0; round < 2; round++ {
+		for w := 1; w <= n; w++ {
+			tk, err := s.SubmitSolveOpts(a, d, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, stats, err := tk.Wait()
+			if err != nil {
+				t.Fatalf("w=%d: %v", w, err)
+			}
+			wantX, wantStats, err := solve.Solve(a, d, w, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(x, wantX) || !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("round %d w=%d: streamed solve diverged from serial", round, w)
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@
 // replays its shard's memoized pattern-keyed plan. Solve jobs extend it to the paper's
 // headline workload: a SubmitSolveOpts ticket runs the full direct solve
 // (BlockLU plus both triangular phases) on a warm solve.Workspace the
-// shard's arena pools per array size, so solve-as-a-service streams at the
+// shard's arena pools for its recently used array sizes, so solve-as-a-service streams at the
 // same warm steady state as the pass jobs. Idle shards steal from sibling
 // queues, so affinity is a locality heuristic, never a load-balance
 // hazard.
