@@ -356,7 +356,7 @@ func sparseCase(rng *rand.Rand, maxw int) {
 }
 
 // sparseArena is the arena the sparse category replays compiled passes on
-// — one owner goroutine, pattern-keyed plan memo warmed across cases.
+// — one owner goroutine, scratch warmed across cases.
 var sparseArena = core.NewArena()
 
 // sparseBatchCase is the batched-replay differential: a random batch of

@@ -555,7 +555,7 @@ func e14() {
 
 // e15 measures the stream scheduler: a sustained mixed-shape stream of
 // compiled matvec jobs (two shapes recycled, so the shape-affinity routing
-// keeps hitting warm plan memos) driven through schedulers at shard counts
+// keeps hitting warm shard arenas) driven through schedulers at shard counts
 // {1, 2, NumCPU}. Every result is checked bit-for-bit against a serial
 // solve; throughput is wall-clock jobs/s. Single-core hosts show scheduler
 // overhead at parity — the scaling rows need real cores.
@@ -596,7 +596,7 @@ func e15() {
 				check(err)
 			}
 		}
-		runOnce() // warm every shard's plan memo
+		runOnce() // warm every shard's arena
 		start := time.Now()
 		runOnce()
 		el := time.Since(start)

@@ -2,23 +2,29 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/blockpart"
 	"repro/internal/dbt"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
 )
 
-// Arena is the per-array scratch state of the pass executor: reusable
-// float/matrix buffers, privately retained DBT transforms, and a plan memo,
-// all owned by a single goroutine. Passes replayed on one arena reuse the
-// same storage, so the steady state of the compiled pass path allocates
-// nothing.
+// Arena is the per-goroutine scratch state of the compiled path: reusable
+// float/matrix buffers and privately retained DBT transforms, all owned by
+// a single goroutine. Compiled plans are not arena state — every pass
+// resolves them through the bounded process-wide caches of
+// internal/schedule, whose warm hits allocate nothing. Passes replayed on
+// one arena reuse the same storage, so the steady state of the compiled
+// pass path allocates nothing.
 //
 // Ownership rules (see DESIGN.md §5):
 //
 //   - An arena belongs to one goroutine at a time. The Executor gives each
-//     simulated array its own arena; serial workspaces own one directly.
-//     Two passes may share an arena only sequentially — never concurrently.
+//     simulated array its own arena; serial workspaces own one directly;
+//     one-shot compiled solves borrow one with GetArena and hand it back
+//     with PutArena. Two passes may share an arena only sequentially —
+//     never concurrently.
 //   - Reset marks the start of a unit of work (the executor resets the
 //     arena before every task it runs). Everything drawn from the arena
 //     after a Reset is valid until the next Reset; nothing drawn from an
@@ -26,7 +32,6 @@ import (
 //   - Buffers come back with arbitrary contents; callers overwrite before
 //     reading.
 type Arena struct {
-	memo *schedule.PlanMemo
 	mvT  *dbt.MatVec
 	mmT  *dbt.MatMul
 	kept map[uint64]interface{}
@@ -39,11 +44,27 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{memo: schedule.NewPlanMemo(), mvT: &dbt.MatVec{}, mmT: &dbt.MatMul{}}
+	return &Arena{mvT: &dbt.MatVec{}, mmT: &dbt.MatMul{}}
 }
 
-// Reset recycles every buffer drawn since the previous Reset. Plans,
-// transforms and slab capacities are retained — that is the point.
+// arenaPool recycles the arenas of one-shot compiled solves.
+var arenaPool = sync.Pool{New: func() interface{} { return NewArena() }}
+
+// GetArena borrows a freshly Reset arena for one one-shot compiled solve
+// (the compiled branches of MatVecSolver, MatMulSolver, sparse solves and
+// band triangular solves). The borrower owns it exclusively until PutArena
+// and must not keep anything drawn from it past that call.
+func GetArena() *Arena {
+	ar := arenaPool.Get().(*Arena)
+	ar.Reset()
+	return ar
+}
+
+// PutArena returns an arena obtained from GetArena.
+func PutArena(ar *Arena) { arenaPool.Put(ar) }
+
+// Reset recycles every buffer drawn since the previous Reset. Transforms,
+// kept values and slab capacities are retained — that is the point.
 func (ar *Arena) Reset() {
 	ar.fcursor = 0
 	ar.mcursor = 0
@@ -77,15 +98,8 @@ func (ar *Arena) Dense(rows, cols int) *matrix.Dense {
 	return m
 }
 
-// Plans returns the arena's plan memo, for solver packages that replay
-// compiled plans directly on this arena's goroutine — the triangular
-// phases of internal/solve, and the pattern-keyed sparse passes
-// (sparse.MatVec.PassInto), which key the memo by (shape, pattern digest)
-// with full pattern verification on every hit.
-func (ar *Arena) Plans() *schedule.PlanMemo { return ar.memo }
-
 // Kept returns the long-lived value cached under key by Keep, or nil when
-// none is. Kept values survive Reset exactly like plans and transforms do:
+// none is. Kept values survive Reset exactly like the transforms do:
 // they are the arena's workspace pool, letting higher layers that core
 // cannot import (the stream scheduler's solve tickets keep a bounded pool
 // of warm solve.Workspaces this way) attach per-shard steady state
@@ -128,7 +142,7 @@ func (ar *Arena) MatVecPass(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vect
 	}
 	t := ar.mvT
 	t.Reset(a, w)
-	sch, err := ar.memo.MatVecFor(t, false)
+	sch, err := schedule.MatVecFor(t, false)
 	if err != nil {
 		return 0, err
 	}
@@ -138,25 +152,46 @@ func (ar *Arena) MatVecPass(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vect
 	if b != nil && len(b) != a.Rows() {
 		return 0, fmt.Errorf("core: len(b)=%d, want %d", len(b), a.Rows())
 	}
+	t.RecoverYFlat(dst, ar.replayMatVec(sch, t, x, b))
+	return sch.T, nil
+}
+
+// replayMatVec is the compiled linear-array pass, shared by
+// Arena.MatVecPass and MatVecSolver.solveCompiled: it replays sch for the
+// transformed problem t on scratch drawn from ar and returns the output
+// band ȳ (len sch.Rows, valid until ar's next Reset). Plans that index the
+// padded block grid directly replay it with no x̄ expansion and no band
+// packing; every other plan replays the packed band.
+func (ar *Arena) replayMatVec(sch *schedule.MatVec, t dbt.Transform, x, b matrix.Vector) []float64 {
+	w, _, mbar := t.Shape()
 	bp := ar.Floats(sch.BLen)
 	clear(bp)
 	copy(bp, b)
 	ybuf := ar.Floats(sch.Rows)
-	if sch.GridReplay() {
-		// Grid-direct replay: no x̄ expansion, no band packing — the run
-		// descriptors index the padded grid and padded x directly.
-		xp := ar.Floats(t.MBar * w)
+	var grid *blockpart.Grid
+	switch t := t.(type) {
+	case *dbt.MatVec:
+		grid = t.Grid
+	case *dbt.MatVecByColumns:
+		grid = t.Grid
+	}
+	if grid != nil && sch.GridReplay() {
+		xp := ar.Floats(mbar * w)
 		clear(xp)
 		copy(xp, x)
-		sch.ExecGrid(t.Grid.Padded().Raw(), xp, bp, ybuf)
-	} else {
-		xbar := t.TransformXInto(ar.Floats(t.BandCols()), x)
-		band := ar.Floats(sch.Rows * w)
-		t.PackBand(band)
-		sch.Exec(band, xbar, bp, ybuf)
+		sch.ExecGrid(grid.Padded().Raw(), xp, bp, ybuf)
+		return ybuf
 	}
-	t.RecoverYFlat(dst, ybuf)
-	return sch.T, nil
+	var xbar matrix.Vector
+	if mv, ok := t.(*dbt.MatVec); ok {
+		xbar = mv.TransformXInto(ar.Floats(t.BandCols()), x)
+	} else {
+		xbar = t.TransformX(x)
+	}
+	band := ar.Floats(sch.Rows * w)
+	t.PackBand(band)
+	sch.Exec(band, xbar, bp, ybuf)
+	return ybuf
 }
 
 // MatMulPass computes dst = A·B + E (e may be nil) as one hexagonal-array
@@ -186,9 +221,5 @@ func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int,
 	if e != nil && (e.Rows() != a.Rows() || e.Cols() != b.Cols()) {
 		return 0, fmt.Errorf("core: E is %d×%d, want %d×%d", e.Rows(), e.Cols(), a.Rows(), b.Cols())
 	}
-	t := ar.mmT
-	t.Reset(a, b, w)
-	sch := ar.memo.MatMulFor(t)
-	replayMatMul(sch, t, dst, e, ar.Floats(sch.Dim*w), ar.Floats(sch.Dim*w), ar.Floats(len(sch.ExtInits)), ar.Floats(sch.OLen()))
-	return sch.T, nil
+	return ar.replayMatMul(dst, a, b, e, w).T, nil
 }

@@ -118,6 +118,13 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 	if err != nil {
 		return nil, err
 	}
+	var ar *Arena
+	if useCompiled {
+		// The compiled pass draws its transform and scratch from a borrowed
+		// arena; only the returned y and stats outlive it.
+		ar = GetArena()
+		defer PutArena(ar)
+	}
 	var t dbt.Transform
 	if opts.ByColumns {
 		if opts.Overlap {
@@ -125,11 +132,8 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 		}
 		t = dbt.NewMatVecByColumns(a, s.w)
 	} else if useCompiled {
-		// The transform is only needed while the compiled pass packs and
-		// recovers, so it comes from the schedule pool and goes straight back.
-		pooled := schedule.GetMatVec(a, s.w)
-		defer schedule.PutMatVec(pooled)
-		t = pooled
+		ar.mvT.Reset(a, s.w)
+		t = ar.mvT
 	} else {
 		t = dbt.NewMatVec(a, s.w)
 	}
@@ -140,7 +144,7 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 	if useCompiled {
 		// Validation is structural (shape-only); the schedule compiler runs
 		// it once per shape and the cache remembers the clean bill.
-		return s.solveCompiled(t, x, b, opts, nbar, mbar)
+		return s.solveCompiled(ar, t, x, b, opts, nbar, mbar)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -194,60 +198,22 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 }
 
 // solveCompiled executes the transformed problem on the compiled-schedule
-// engine: shape-cached schedule, packed band coefficients, O(MACs)
-// execution with pooled scratch. Results and statistics are bit-identical
-// to the structural path.
-func (s *MatVecSolver) solveCompiled(t dbt.Transform, x, b matrix.Vector, opts MatVecOptions, nbar, mbar int) (*MatVecResult, error) {
+// engine: shape-cached schedule, the replay shared with Arena.MatVecPass
+// over ar's scratch, and a freshly allocated y. Results and statistics are
+// bit-identical to the structural path.
+func (s *MatVecSolver) solveCompiled(ar *Arena, t dbt.Transform, x, b matrix.Vector, opts MatVecOptions, nbar, mbar int) (*MatVecResult, error) {
 	sch, err := schedule.MatVecFor(t, opts.Overlap)
 	if err != nil {
 		return nil, err
 	}
-	// Scratch (padded x or x̄, padded b̄, band) lives in pooled buffers; only
-	// the returned y is a fresh allocation on this path.
-	bpBuf := schedule.GetFloats(sch.BLen)
-	defer schedule.PutFloats(bpBuf)
-	bp := matrix.Vector(*bpBuf)
-	copy(bp, b)
-	ybuf := schedule.GetFloatsUninit(sch.Rows)
-	defer schedule.PutFloats(ybuf)
-
-	var aflat []float64
-	mv, isByRows := t.(*dbt.MatVec)
-	if isByRows {
-		aflat = mv.Grid.Padded().Raw()
-	} else if mvc, ok := t.(*dbt.MatVecByColumns); ok {
-		aflat = mvc.Grid.Padded().Raw()
-	}
-	if aflat != nil && sch.GridReplay() {
-		// Grid-direct replay: the run descriptors index the padded grid and
-		// padded x, so neither x̄ expansion nor band packing happens at all.
-		xpBuf := schedule.GetFloats(mbar * s.w)
-		defer schedule.PutFloats(xpBuf)
-		copy(*xpBuf, x)
-		sch.ExecGrid(aflat, *xpBuf, bp, *ybuf)
-	} else {
-		var xbar matrix.Vector
-		if isByRows {
-			xbarBuf := schedule.GetFloatsUninit(t.BandCols())
-			defer schedule.PutFloats(xbarBuf)
-			xbar = mv.TransformXInto(*xbarBuf, x)
-		} else {
-			xbar = t.TransformX(x)
-		}
-		band := schedule.GetFloatsUninit(sch.Rows * s.w)
-		defer schedule.PutFloats(band)
-		t.PackBand(*band)
-		sch.Exec(*band, xbar, bp, *ybuf)
-	}
-
-	// Recover y (copying, so the pooled buffers can be released).
+	ybuf := ar.replayMatVec(sch, t, x, b)
 	var y matrix.Vector
-	if isByRows {
-		y = mv.RecoverYFlat(make(matrix.Vector, mv.N), *ybuf)
+	if mv, ok := t.(*dbt.MatVec); ok {
+		y = mv.RecoverYFlat(make(matrix.Vector, mv.N), ybuf)
 	} else {
 		ybars := make([]matrix.Vector, t.Blocks())
 		for k := range ybars {
-			ybars[k] = matrix.Vector((*ybuf)[k*s.w : (k+1)*s.w])
+			ybars[k] = matrix.Vector(ybuf[k*s.w : (k+1)*s.w])
 		}
 		y = t.RecoverY(ybars)
 	}

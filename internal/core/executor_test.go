@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -164,6 +166,63 @@ func TestArenaScratchReuse(t *testing.T) {
 	if m := ar.Dense(3, 2); m != m1 {
 		t.Fatal("Dense did not recycle the first slot after Reset")
 	}
+}
+
+// TestPooledArenaConcurrentShapes: the one-shot compiled solvers borrow
+// their transforms and scratch from the shared arena pool. Goroutines
+// cycling through random shapes — so every borrowed arena's transforms are
+// rebuilt and its slabs regrown for a shape it last saw at another size —
+// must still match the structural oracle bit for bit, results and stats.
+func TestPooledArenaConcurrentShapes(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 30; i++ {
+				w := 1 + rng.Intn(4)
+				n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
+				a := matrix.RandomDense(rng, n, m, 5)
+				x := matrix.RandomVector(rng, m, 5)
+				b := matrix.RandomVector(rng, n, 5)
+				mv := NewMatVecSolver(w)
+				got, err := mv.Solve(a, x, b, MatVecOptions{Engine: EngineCompiled})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := mv.Solve(a, x, b, MatVecOptions{Engine: EngineOracle})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("pooled matvec w=%d %d×%d diverges from the oracle", w, n, m)
+					return
+				}
+
+				p := 1 + rng.Intn(2*w)
+				bm := matrix.RandomDense(rng, m, p, 4)
+				mm := NewMatMulSolver(w)
+				gotC, err := mm.Solve(a, bm, MatMulOptions{Engine: EngineCompiled})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wantC, err := mm.Solve(a, bm, MatMulOptions{Engine: EngineOracle})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(gotC, wantC) {
+					t.Errorf("pooled matmul w=%d %d×%d·%d×%d diverges from the oracle", w, n, m, m, p)
+					return
+				}
+			}
+		}(int64(100 + g))
+	}
+	wg.Wait()
 }
 
 // TestExecutorParallelPasses: independent passes fanned across the

@@ -83,11 +83,7 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 		return nil, err
 	}
 	if useCompiled {
-		// The transform is only needed while packing and extracting, so it
-		// comes from the schedule pool and goes straight back.
-		t := schedule.GetMatMul(a, b, s.w)
-		defer schedule.PutMatMul(t)
-		return s.solveCompiled(t, a, b, opts)
+		return s.solveCompiled(a, b, opts), nil
 	}
 	t := dbt.NewMatMul(a, b, s.w)
 	arr := hex.New(s.w)
@@ -114,21 +110,15 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 }
 
 // solveCompiled executes the transformed problem on the compiled-schedule
-// engine: shape-cached schedule, packed Â/B̂ bands, O(MACs) execution with
-// pooled scratch. Results and statistics are bit-identical to the
-// structural path.
-func (s *MatMulSolver) solveCompiled(t *dbt.MatMul, a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {
-	sch := schedule.MatMulFor(t)
-	aPack := schedule.GetFloatsUninit(sch.Dim * s.w)
-	defer schedule.PutFloats(aPack)
-	bPack := schedule.GetFloatsUninit(sch.Dim * s.w)
-	defer schedule.PutFloats(bPack)
-	ext := schedule.GetFloatsUninit(len(sch.ExtInits))
-	defer schedule.PutFloats(ext)
-	oband := schedule.GetFloatsUninit(sch.OLen())
-	defer schedule.PutFloats(oband)
+// engine: shape-cached schedule and the replay shared with
+// Arena.MatMulPass, over the transform and scratch of a borrowed arena.
+// Results and statistics are bit-identical to the structural path.
+func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) *MatMulResult {
+	ar := GetArena()
+	defer PutArena(ar)
 	cFinal := matrix.NewDense(a.Rows(), b.Cols())
-	replayMatMul(sch, t, cFinal, opts.E, *aPack, *bPack, *ext, *oband)
+	sch := ar.replayMatMul(cFinal, a, b, opts.E, s.w)
+	t := ar.mmT
 
 	regular, irregular := sch.CopyDelays()
 	stats := MatMulStats{
@@ -141,7 +131,7 @@ func (s *MatMulSolver) solveCompiled(t *dbt.MatMul, a, b *matrix.Dense, opts Mat
 		RegularDelays:        regular,
 		IrregularDelays:      irregular,
 	}
-	return &MatMulResult{C: cFinal, Stats: stats}, nil
+	return &MatMulResult{C: cFinal, Stats: stats}
 }
 
 // SolveMany runs up to three independent C_i = A_i·B_i problems overlapped
@@ -219,17 +209,24 @@ func (s *MatMulSolver) program(t *dbt.MatMul, e *matrix.Dense) *hex.Program {
 }
 
 // replayMatMul is the compiled hex pass, shared by Arena.MatMulPass and
-// MatMulSolver.solveCompiled: run-copy Â/B̂ packing, the E gather through
-// the plan's compiled map, the replay kernel, and the compiled C scatter
-// into dst (A.Rows()×B.Cols(), fully overwritten). The four buffers are the
-// caller's scratch with arbitrary contents (lengths Dim·w, Dim·w,
-// len(ExtInits), OLen()); e may be nil.
-func replayMatMul(sch *schedule.MatMul, t *dbt.MatMul, dst, e *matrix.Dense, aPack, bPack, ext, oband []float64) {
+// MatMulSolver.solveCompiled: it rebuilds ar's matmul transform for a·b on
+// a w×w array, resolves the shape's plan, and runs run-copy Â/B̂ packing,
+// the E gather through the plan's compiled map, the replay kernel, and the
+// compiled C scatter into dst (A.Rows()×B.Cols(), fully overwritten) over
+// scratch drawn from ar. e may be nil. It returns the plan; the transform
+// stays readable in ar.mmT until ar's next use.
+func (ar *Arena) replayMatMul(dst, a, b, e *matrix.Dense, w int) *schedule.MatMul {
+	t := ar.mmT
+	t.Reset(a, b, w)
+	sch := schedule.MatMulFor(t)
+	aPack, bPack := ar.Floats(sch.Dim*w), ar.Floats(sch.Dim*w)
+	ext, oband := ar.Floats(len(sch.ExtInits)), ar.Floats(sch.OLen())
 	t.PackAHat(aPack)
 	t.PackBHat(bPack)
 	sch.GatherExt(ext, e)
 	sch.Exec(aPack, bPack, ext, oband)
 	sch.ScatterC(dst, oband)
+	return sch
 }
 
 // extractMatMul assembles C into dst — any shape up to the padded

@@ -1,18 +1,14 @@
 package schedule
 
-import (
-	"sync"
-
-	"repro/internal/dbt"
-)
+import "repro/internal/dbt"
 
 // One shape-keyed plan cache per workload (see plan.go for the bounding and
-// concurrency story).
+// concurrency story). Every key is a padding-free run of ints, so a cache
+// hit hashes it as plain memory.
 
 type matvecKey struct {
 	w, nbar, mbar int
-	variant       uint8 // 0 = by-rows, 1 = by-columns
-	overlap       bool
+	form          int // variant (0 = by-rows, 1 = by-columns) | 2 when overlapped
 }
 
 type matmulKey struct {
@@ -25,7 +21,7 @@ type trisolveKey struct {
 
 // sparseKey is the pattern-keyed variant: the shape plus a digest of the
 // retained-block pattern. Unlike the shape keys it is lossy — two patterns
-// can collide on one digest — so every cache and memo hit re-verifies the
+// can collide on one digest — so every cache hit re-verifies the
 // full pattern (SparseMatVec.MatchesPattern) and recompiles on a mismatch.
 type sparseKey struct {
 	w, nbar, mbar int
@@ -94,17 +90,19 @@ func SparseMatVecFor(w, nbar, mbar int, retained [][]int) (*SparseMatVec, error)
 // mirrors the structural path's: §2 validation failure or an unsplittable
 // overlap.
 func MatVecFor(t dbt.Transform, overlap bool) (*MatVec, error) {
-	var variant uint8
+	var form int
 	switch t.(type) {
 	case *dbt.MatVec:
-		variant = 0
 	case *dbt.MatVecByColumns:
-		variant = 1
+		form = 1
 	default:
 		return compileMatVec(t, overlap)
 	}
+	if overlap {
+		form |= 2
+	}
 	w, nbar, mbar := t.Shape()
-	key := matvecKey{w: w, nbar: nbar, mbar: mbar, variant: variant, overlap: overlap}
+	key := matvecKey{w: w, nbar: nbar, mbar: mbar, form: form}
 	return matvecCache.get(key, func() (*MatVec, error) { return compileMatVec(t, overlap) })
 }
 
@@ -124,31 +122,3 @@ func TriSolveFor(n, w int) *TriSolve {
 	s, _ := trisolveCache.get(key, func() (*TriSolve, error) { return compileTriSolve(n, w), nil })
 	return s
 }
-
-// floatPool recycles the per-solve scratch buffers (packed bands, output
-// bands) so steady-state solves allocate nothing in the execution engine.
-var floatPool = sync.Pool{New: func() interface{} { s := make([]float64, 0, 256); return &s }}
-
-// GetFloats returns a zeroed float64 scratch slice of length n from the
-// pool. Pair with PutFloats.
-func GetFloats(n int) *[]float64 {
-	p := GetFloatsUninit(n)
-	clear(*p)
-	return p
-}
-
-// GetFloatsUninit returns a scratch slice of length n whose contents are
-// arbitrary. For buffers that are provably fully written before any read
-// (packed bands, Exec outputs) this skips a memset of the same order as
-// the compute itself. Pair with PutFloats.
-func GetFloatsUninit(n int) *[]float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// PutFloats returns a scratch slice to the pool.
-func PutFloats(p *[]float64) { floatPool.Put(p) }

@@ -395,7 +395,7 @@ func (s *SparseMatVec) PEMACs(dst []int) []int {
 }
 
 // MatchesPattern reports whether the plan was compiled for exactly this
-// retained-block pattern. Cache and memo hits verify it before replaying —
+// retained-block pattern. Cache hits verify it before replaying —
 // the collision policy that makes the digest key safe.
 func (s *SparseMatVec) MatchesPattern(retained [][]int) bool {
 	if len(retained) != s.NBar {

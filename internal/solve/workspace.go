@@ -70,9 +70,8 @@ func NewWorkspaceExecutor(w int, exec *core.Executor) *Workspace {
 }
 
 // NewWorkspaceArena returns a serial workspace (its trisolve substrate
-// included) that replays compiled plans and draws pass scratch through the
-// caller's arena instead of private ones, so repeated solves reuse the
-// arena's PlanMemo — the constructor behind the stream scheduler's solve
+// included) that draws pass scratch through the caller's arena instead of
+// private ones — the constructor behind the stream scheduler's solve
 // tickets, where each shard's arena keeps one warm workspace per array
 // size. The arena is shared, not owned; the workspace inherits its
 // goroutine-ownership contract and Resets it freely between passes, so

@@ -15,11 +15,13 @@
 // singular system (*solve.SingularError) returns 422 with the pivot index,
 // an unconverged refinement (*solve.IllConditionedError) returns 422 with
 // the condition report, malformed requests (including an array size w
-// above max(n, the default w)) return 400, a closed stream
-// returns 503, anything else (a recovered job panic, or a solution JSON
-// cannot carry, such as a NaN) returns 500. The handler holds no state of
-// its own beyond the scheduler: every request is one ticket, submitted
-// with the request's QoS and redeemed before the response is written.
+// above max(n, the default w) or a refine.max_iters above
+// maxRefineIters) return 400, a body over maxBodyBytes returns 413, a
+// closed stream returns 503, anything else (a recovered job panic, or a
+// solution JSON cannot carry, such as a NaN) returns 500. The handler
+// holds no state of its own beyond the scheduler: every request is one
+// ticket, submitted with the request's QoS and redeemed before the
+// response is written.
 package solved
 
 import (
@@ -35,6 +37,14 @@ import (
 	"repro/internal/solve"
 	"repro/internal/stream"
 )
+
+// maxBodyBytes bounds a POST /solve body (8 MiB, about a 1000×1000
+// system in JSON); a longer body is cut off unread and answered with 413.
+const maxBodyBytes = 8 << 20
+
+// maxRefineIters bounds a request's refine.max_iters, so one request
+// cannot hold its shard in a refinement loop of a client-chosen length.
+const maxRefineIters = 16
 
 // Request is the POST /solve body: the system A·x = d plus optional
 // execution knobs. Zero-value knobs take the server's defaults.
@@ -67,8 +77,8 @@ type Request struct {
 
 // RefineRequest is the optional iterative-refinement block of a Request.
 type RefineRequest struct {
-	// MaxIters caps the refinement cycles (must be > 0 when the block is
-	// present).
+	// MaxIters caps the refinement cycles (must be in 1..16 when the
+	// block is present).
 	MaxIters int `json:"max_iters"`
 	// Tol, when > 0, is the absolute ‖A·x−d‖∞ convergence target; 0 takes
 	// the solver's scaled machine-precision default.
@@ -175,10 +185,15 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body Request
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: bad request body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(rw, status, fmt.Errorf("solved: bad request body: %w", err))
 		return
 	}
 	n := len(body.A)
@@ -248,8 +263,8 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if body.Refine != nil {
-		if body.Refine.MaxIters < 1 {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: refine.max_iters must be positive, got %d", body.Refine.MaxIters))
+		if body.Refine.MaxIters < 1 || body.Refine.MaxIters > maxRefineIters {
+			writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: refine.max_iters must be in 1..%d, got %d", maxRefineIters, body.Refine.MaxIters))
 			return
 		}
 		if body.Refine.Tol < 0 {

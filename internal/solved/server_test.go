@@ -325,6 +325,7 @@ func TestSolveEndpoint400(t *testing.T) {
 		{A: [][]float64{{2}}, D: []float64{1}, Priority: "urgent"},                               // bad priority
 		{A: [][]float64{{2}}, D: []float64{1}, Pivot: "complete"},                                // bad pivot policy
 		{A: [][]float64{{2}}, D: []float64{1}, Refine: &RefineRequest{MaxIters: 0}},              // empty refine budget
+		{A: [][]float64{{2}}, D: []float64{1}, Refine: &RefineRequest{MaxIters: 17}},             // refine budget over the cap
 		{A: [][]float64{{2}}, D: []float64{1}, Refine: &RefineRequest{MaxIters: 2, Tol: -1e-12}}, // negative tolerance
 	}
 	for i, c := range cases {
@@ -337,6 +338,42 @@ func TestSolveEndpoint400(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Errorf("malformed requests reached the scheduler: %+v", st)
+	}
+}
+
+// TestSolveEndpointBodyLimit: a body one byte over maxBodyBytes returns
+// 413 with an ErrorResponse and never reaches the scheduler, while the
+// same request at exactly the limit solves. Both bodies are a small valid
+// request padded with leading whitespace, so only their length differs.
+func TestSolveEndpointBodyLimit(t *testing.T) {
+	ts, s := newTestServer(t, stream.Config{Shards: 1})
+	req := []byte(`{"a":[[2]],"d":[4]}`)
+	post := func(size int) (*http.Response, ErrorResponse) {
+		t.Helper()
+		body := append(bytes.Repeat([]byte(" "), size-len(req)), req...)
+		resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatalf("decode %d response: %v", resp.StatusCode, err)
+		}
+		return resp, got
+	}
+	resp, got := post(maxBodyBytes + 1)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d, want 413", maxBodyBytes+1, resp.StatusCode)
+	}
+	if got.Error == "" {
+		t.Error("413 response carries no error message")
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("an oversized body reached the scheduler: %+v", st)
+	}
+	if resp, _ := post(maxBodyBytes); resp.StatusCode != http.StatusOK {
+		t.Errorf("body of exactly %d bytes: status %d, want 200", maxBodyBytes, resp.StatusCode)
 	}
 }
 

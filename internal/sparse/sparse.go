@@ -165,7 +165,7 @@ func (t *MatVec) SolveEngine(x, b matrix.Vector, eng core.Engine) (*Result, erro
 	if !useCompiled {
 		return t.Solve(x, b)
 	}
-	return t.solveCompiled(nil, x, b, false)
+	return t.solveCompiled(x, b, false)
 }
 
 // SolveOverlappedEngine is SolveEngine in the paper's §2 overlap mode: the
@@ -186,24 +186,7 @@ func (t *MatVec) SolveOverlappedEngine(x, b matrix.Vector, eng core.Engine) (*Re
 	if !useCompiled {
 		return t.SolveOverlapped(x, b)
 	}
-	return t.solveCompiled(nil, x, b, true)
-}
-
-// SolveEngineOn is SolveEngine with compiled plans resolved through ar's
-// pattern-keyed plan memo instead of the global cache. The stream
-// scheduler's full-result sparse jobs run it on their pattern-affinity
-// shard's arena, so a repeating sparsity pattern replays the shard's
-// memoized plan without contending on the process-wide cache. The result
-// is identical to SolveEngine's (plans are immutable and shared).
-func (t *MatVec) SolveEngineOn(ar *core.Arena, x, b matrix.Vector, eng core.Engine) (*Result, error) {
-	useCompiled, err := eng.Resolve(false)
-	if err != nil {
-		return nil, err
-	}
-	if !useCompiled {
-		return t.Solve(x, b)
-	}
-	return t.solveCompiled(ar.Plans(), x, b, false)
+	return t.solveCompiled(x, b, true)
 }
 
 // checkLens validates the operand lengths shared by every solve path.
@@ -218,19 +201,13 @@ func (t *MatVec) checkLens(x, b matrix.Vector) error {
 }
 
 // planFor resolves the compiled plan for t's pattern: the transform's own
-// cached pointer when already published, else through memo (when non-nil)
-// or the global pattern-keyed cache, publishing the result for later calls.
-func (t *MatVec) planFor(memo *schedule.PlanMemo) (*schedule.SparseMatVec, error) {
+// cached pointer when already published, else the global pattern-keyed
+// cache, publishing the result for later calls.
+func (t *MatVec) planFor() (*schedule.SparseMatVec, error) {
 	if p := t.plan.Load(); p != nil {
 		return p, nil
 	}
-	var plan *schedule.SparseMatVec
-	var err error
-	if memo != nil {
-		plan, err = memo.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
-	} else {
-		plan, err = schedule.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
-	}
+	plan, err := schedule.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
 	if err != nil {
 		return nil, err
 	}
@@ -238,40 +215,33 @@ func (t *MatVec) planFor(memo *schedule.PlanMemo) (*schedule.SparseMatVec, error
 	return plan, nil
 }
 
-// solveCompiled resolves the pattern-keyed plan — through memo when
-// non-nil, the global cache otherwise — and replays it over pooled
-// scratch. With overlapped set it reports the overlapped schedule's step
-// count and utilization; the replayed values are identical either way (the
-// overlap changes when MACs happen, never what they compute).
-func (t *MatVec) solveCompiled(memo *schedule.PlanMemo, x, b matrix.Vector, overlapped bool) (*Result, error) {
-	if err := t.checkLens(x, b); err != nil {
+// solveCompiled is the one-shot compiled solve: PassInto on a borrowed
+// arena into a fresh y, plus the plan's statistics. With overlapped set it
+// reports the overlapped schedule's step count and utilization; the
+// replayed values are identical either way (the overlap changes when MACs
+// happen, never what they compute).
+func (t *MatVec) solveCompiled(x, b matrix.Vector, overlapped bool) (*Result, error) {
+	ar := core.GetArena()
+	defer core.PutArena(ar)
+	y := matrix.NewVector(t.N)
+	if _, err := t.PassInto(ar, y, x, b, core.EngineCompiled); err != nil {
 		return nil, err
 	}
-	plan, err := t.planFor(memo)
-	if err != nil {
-		return nil, err
-	}
-	w := t.W
-	xp := schedule.GetFloatsUninit(t.MBar * w)
-	copy(*xp, x)
-	clear((*xp)[len(x):])
-	bp := schedule.GetFloatsUninit(t.NBar * w)
-	copy(*bp, b)
-	clear((*bp)[len(b):])
-	ybar := schedule.GetFloatsUninit(plan.MaxBandRows)
-	y := matrix.NewVector(t.NBar * w)
-	plan.Exec(t.Grid.Padded().Raw(), *xp, *bp, y, *ybar)
-	schedule.PutFloats(xp)
-	schedule.PutFloats(bp)
-	schedule.PutFloats(ybar)
-	res := &Result{Y: y[:t.N], T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
+	plan := t.plan.Load() // published by the pass
+	res := t.result(plan, y)
 	if overlapped {
 		res.T, res.Utilization = plan.TOverlap, plan.OverlapUtilization()
 	}
-	if plan.Q > 0 {
-		res.MACs = plan.PEMACs(make([]int, w))
-	}
 	return res, nil
+}
+
+// result wraps one replayed vector y with the plan's statistics.
+func (t *MatVec) result(plan *schedule.SparseMatVec, y matrix.Vector) *Result {
+	res := &Result{Y: y, T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
+	if plan.Q > 0 {
+		res.MACs = plan.PEMACs(make([]int, t.W))
+	}
+	return res
 }
 
 // batchB returns the v-th right-hand side of a batch, where a nil bs means
@@ -316,22 +286,7 @@ func (t *MatVec) SolveMany(xs, bs []matrix.Vector, eng core.Engine) ([]*Result, 
 	if !useCompiled {
 		return t.solveManySerial(xs, bs)
 	}
-	return t.solveManyCompiled(nil, xs, bs)
-}
-
-// SolveManyOn is SolveMany with compiled plans resolved through ar's
-// pattern-keyed plan memo, the batched counterpart of SolveEngineOn. The
-// stream scheduler's SubmitSparseBatch tickets run it on their
-// pattern-affinity shard's arena.
-func (t *MatVec) SolveManyOn(ar *core.Arena, xs, bs []matrix.Vector, eng core.Engine) ([]*Result, error) {
-	useCompiled, err := eng.Resolve(false)
-	if err != nil {
-		return nil, err
-	}
-	if !useCompiled {
-		return t.solveManySerial(xs, bs)
-	}
-	return t.solveManyCompiled(ar.Plans(), xs, bs)
+	return t.solveManyCompiled(xs, bs)
 }
 
 // solveManySerial is the oracle batch path: k independent structural
@@ -351,59 +306,42 @@ func (t *MatVec) solveManySerial(xs, bs []matrix.Vector) ([]*Result, error) {
 	return out, nil
 }
 
-// solveManyCompiled packs the batch into strided pooled buffers and replays
-// the plan once over all k vectors.
-func (t *MatVec) solveManyCompiled(memo *schedule.PlanMemo, xs, bs []matrix.Vector) ([]*Result, error) {
-	if err := t.checkBatch(xs, bs); err != nil {
+// solveManyCompiled is the one-shot batched compiled solve: PassManyInto
+// on a borrowed arena into fresh result vectors (one backing array, each
+// vector capped to its own window), plus the plan's statistics.
+func (t *MatVec) solveManyCompiled(xs, bs []matrix.Vector) ([]*Result, error) {
+	ar := core.GetArena()
+	defer core.PutArena(ar)
+	n, k := t.N, len(xs)
+	ys := make([]matrix.Vector, k)
+	backing := make(matrix.Vector, k*n)
+	for v := range ys {
+		ys[v] = backing[v*n : (v+1)*n : (v+1)*n]
+	}
+	if _, err := t.PassManyInto(ar, ys, xs, bs, core.EngineCompiled); err != nil {
 		return nil, err
 	}
-	plan, err := t.planFor(memo)
-	if err != nil {
-		return nil, err
-	}
-	w, k := t.W, len(xs)
-	xw, yw := t.MBar*w, t.NBar*w
-	xp := schedule.GetFloatsUninit(k * xw)
-	bp := schedule.GetFloatsUninit(k * yw)
-	for v := range xs {
-		copy((*xp)[v*xw:], xs[v])
-		clear((*xp)[v*xw+len(xs[v]) : (v+1)*xw])
-		bv := batchB(bs, v)
-		copy((*bp)[v*yw:], bv)
-		clear((*bp)[v*yw+len(bv) : (v+1)*yw])
-	}
-	y := schedule.GetFloatsUninit(k * yw)
-	ybar := schedule.GetFloatsUninit(k * plan.MaxBandRows)
-	plan.ExecMany(t.Grid.Padded().Raw(), *xp, *bp, *y, *ybar, k)
+	plan := t.plan.Load() // published by the pass
 	out := make([]*Result, k)
 	for v := range out {
-		yv := matrix.NewVector(yw)
-		copy(yv, (*y)[v*yw:(v+1)*yw])
-		res := &Result{Y: yv[:t.N], T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
-		if plan.Q > 0 {
-			res.MACs = plan.PEMACs(make([]int, w))
-		}
-		out[v] = res
+		out[v] = t.result(plan, ys[v])
 	}
-	schedule.PutFloats(xp)
-	schedule.PutFloats(bp)
-	schedule.PutFloats(y)
-	schedule.PutFloats(ybar)
 	return out, nil
 }
 
 // PassInto computes dst = A·x + b (b may be nil) as one sparse pass on the
-// selected engine, drawing every buffer and the pattern-keyed plan memo
-// from ar, and returns the pass's measured step count T. dst must have
-// length A.Rows() and must not alias x or b; like every other operand
-// validation failure it reports a mismatched dst as a returned error, so a
-// malformed Into job arriving through the stream surfaces as a validation
-// error rather than a panic. On the compiled engine the warm steady state —
-// plan memoized on the arena, buffers reused — allocates nothing; the
-// oracle engine runs the structural simulator (allocating freely) and
-// copies the result, so both engines write bit-identical values. It is the
-// sparse counterpart of core.Arena's MatVecPass, and what the stream
-// scheduler's sparse Into jobs run on their shard's arena.
+// selected engine, drawing every buffer from ar, and returns the pass's
+// measured step count T. dst must have length A.Rows() and must not alias
+// x or b; like every other operand validation failure it reports a
+// mismatched dst as a returned error, so a malformed Into job arriving
+// through the stream surfaces as a validation error rather than a panic.
+// On the compiled engine the warm steady state — plan published on t,
+// buffers reused — allocates nothing; the oracle engine runs the
+// structural simulator (allocating freely) and copies the result, so both
+// engines write bit-identical values. It is the sparse counterpart of
+// core.Arena's MatVecPass: the stream scheduler's sparse Into jobs run it
+// on their shard's arena, and the one-shot compiled solves on a borrowed
+// one.
 func (t *MatVec) PassInto(ar *core.Arena, dst, x, b matrix.Vector, eng core.Engine) (int, error) {
 	if len(dst) != t.N {
 		return 0, fmt.Errorf("sparse: dst len %d, want %d", len(dst), t.N)
@@ -423,7 +361,7 @@ func (t *MatVec) PassInto(ar *core.Arena, dst, x, b matrix.Vector, eng core.Engi
 	if err := t.checkLens(x, b); err != nil {
 		return 0, err
 	}
-	plan, err := t.planFor(ar.Plans())
+	plan, err := t.planFor()
 	if err != nil {
 		return 0, err
 	}
@@ -442,13 +380,13 @@ func (t *MatVec) PassInto(ar *core.Arena, dst, x, b matrix.Vector, eng core.Engi
 }
 
 // PassManyInto is the batched PassInto: dsts[v] = A·xs[v] + bs[v] for every
-// vector of the batch in one ExecMany replay, drawing every buffer and the
-// plan memo from ar, and returns the per-pass step count T (every vector
-// replays the same schedule). Operand rules follow SolveMany (bs may be nil
-// or hold nil entries); every dst must have length A.Rows() and must not
-// alias any x or b — mismatches come back as errors, never panics. On the
-// compiled engine the warm steady state allocates nothing; the oracle
-// engine loops the structural simulator, bit-identical per vector.
+// vector of the batch in one ExecMany replay, drawing every buffer from ar,
+// and returns the per-pass step count T (every vector replays the same
+// schedule). Operand rules follow SolveMany (bs may be nil or hold nil
+// entries); every dst must have length A.Rows() and must not alias any x
+// or b — mismatches come back as errors, never panics. On the compiled
+// engine the warm steady state allocates nothing; the oracle engine loops
+// the structural simulator, bit-identical per vector.
 func (t *MatVec) PassManyInto(ar *core.Arena, dsts, xs, bs []matrix.Vector, eng core.Engine) (int, error) {
 	if len(dsts) != len(xs) {
 		return 0, fmt.Errorf("sparse: batch has %d dst vectors but %d x vectors", len(dsts), len(xs))
@@ -477,7 +415,7 @@ func (t *MatVec) PassManyInto(ar *core.Arena, dsts, xs, bs []matrix.Vector, eng 
 		}
 		return steps, nil
 	}
-	plan, err := t.planFor(ar.Plans())
+	plan, err := t.planFor()
 	if err != nil {
 		return 0, err
 	}

@@ -137,7 +137,6 @@ func TestSparseValidation(t *testing.T) {
 // resolves to the compiled path.
 func TestSparseEngineEquiv(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	equivArena := core.NewArena()
 	for _, w := range []int{1, 2, 3, 4} {
 		for _, density := range []float64{0, 0.2, 0.5, 0.8, 1} {
 			nb, mb := 1+rng.Intn(5), 1+rng.Intn(5)
@@ -160,15 +159,6 @@ func TestSparseEngineEquiv(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v diverges from the structural solve (w=%d n̄=%d m̄=%d density=%.1f):\ncompiled %+v\noracle   %+v",
 						eng, w, nb, mb, density, got, want)
-				}
-				// The memo-resolved variant (the stream's full-job path)
-				// must return the identical result.
-				onArena, err := tr.SolveEngineOn(equivArena, x, b, eng)
-				if err != nil {
-					t.Fatalf("SolveEngineOn %v: %v", eng, err)
-				}
-				if !reflect.DeepEqual(onArena, want) {
-					t.Fatalf("SolveEngineOn %v diverges from the structural solve (w=%d density=%.1f)", eng, w, density)
 				}
 			}
 			if !want.Y.Equal(a.MulVec(x, b), 0) {
@@ -325,11 +315,10 @@ func TestSparsePassIntoDstError(t *testing.T) {
 }
 
 // TestSparseSolveMany: every Result of a batched solve is DeepEqual to the
-// independent SolveEngine call for that vector, on both engines and through
-// the arena-memo variant, including nil and per-entry-nil b batches.
+// independent SolveEngine call for that vector, on both engines, including
+// nil and per-entry-nil b batches.
 func TestSparseSolveMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	ar := core.NewArena()
 	for _, w := range []int{1, 3, 4} {
 		for _, density := range []float64{0, 0.4, 1} {
 			nb, mb := 1+rng.Intn(4), 1+rng.Intn(4)
@@ -352,10 +341,6 @@ func TestSparseSolveMany(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", eng, err)
 				}
-				onArena, err := tr.SolveManyOn(ar, xs, bs, eng)
-				if err != nil {
-					t.Fatalf("SolveManyOn %v: %v", eng, err)
-				}
 				for v := range xs {
 					var bv matrix.Vector
 					if bs != nil {
@@ -367,9 +352,6 @@ func TestSparseSolveMany(t *testing.T) {
 					}
 					if !reflect.DeepEqual(many[v], want) {
 						t.Fatalf("%v w=%d k=%d: batched vector %d diverges:\nbatched %+v\nlooped  %+v", eng, w, k, v, many[v], want)
-					}
-					if !reflect.DeepEqual(onArena[v], want) {
-						t.Fatalf("SolveManyOn %v w=%d: vector %d diverges", eng, w, v)
 					}
 				}
 			}

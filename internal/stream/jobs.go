@@ -205,7 +205,7 @@ func (s *Scheduler) SubmitMatVec(w int, p core.MatVecProblem, q ...QoS) (Ticket[
 	return submit(s, &matVecJobs, matVecWork{w, p}, q)
 }
 
-// matVecIntoWork replays one matvec pass through the arena's memo into the
+// matVecIntoWork replays one matvec pass on the shard's arena into the
 // caller's buffer.
 type matVecIntoWork struct {
 	dst  matrix.Vector
@@ -257,7 +257,7 @@ func (s *Scheduler) SubmitMatMul(w int, p core.MatMulProblem, q ...QoS) (Ticket[
 	return submit(s, &matMulJobs, matMulWork{w, p}, q)
 }
 
-// matMulIntoWork replays one matmul pass through the arena's memo into the
+// matMulIntoWork replays one matmul pass on the shard's arena into the
 // caller's matrix.
 type matMulIntoWork struct {
 	dst, a, b, e *matrix.Dense
@@ -286,22 +286,22 @@ func (s *Scheduler) SubmitMatMulInto(dst, a, b, e *matrix.Dense, w int, eng core
 
 // sparseKey routes a sparse job by pattern affinity: shape plus the
 // retained-block pattern digest, so a repeating sparsity pattern replays
-// its shard's memoized pattern-keyed plan.
+// on the shard whose arena scratch is already sized for it.
 func sparseKey(salt int, t *sparse.MatVec) routeKey {
 	k := t.Key()
 	return routeKey{salt, int(k.Digest), k.W, k.NBar, k.MBar}
 }
 
-// sparseWork resolves its pattern-keyed plan through the shard arena's
-// memo (fresh result, plans identical to the serial ones).
+// sparseWork is one full-result sparse solve (fresh result, exactly the
+// serial SolveEngine's).
 type sparseWork struct {
 	t    *sparse.MatVec
 	x, b matrix.Vector
 	eng  core.Engine
 }
 
-func (m sparseWork) run(ar *core.Arena) (*sparse.Result, error) {
-	return m.t.SolveEngineOn(ar, m.x, m.b, m.eng)
+func (m sparseWork) run(*core.Arena) (*sparse.Result, error) {
+	return m.t.SolveEngine(m.x, m.b, m.eng)
 }
 
 func (m sparseWork) key() routeKey { return sparseKey(4, m.t) }
@@ -361,8 +361,8 @@ type sparseBatchWork struct {
 	eng    core.Engine
 }
 
-func (m sparseBatchWork) run(ar *core.Arena) ([]*sparse.Result, error) {
-	return m.t.SolveManyOn(ar, m.xs, m.bs, m.eng)
+func (m sparseBatchWork) run(*core.Arena) ([]*sparse.Result, error) {
+	return m.t.SolveMany(m.xs, m.bs, m.eng)
 }
 
 func (m sparseBatchWork) key() routeKey { return sparseKey(8, m.t) }
@@ -371,7 +371,7 @@ func (m sparseBatchWork) key() routeKey { return sparseKey(8, m.t) }
 // transformation as a single batched job — one ticket, one queue slot, one
 // admission decision (and one deadline) for the whole batch. The shard
 // replays the pattern-keyed plan once over all k vectors
-// (sparse.MatVec.SolveManyOn); each returned Result is bit-identical to an
+// (sparse.MatVec.SolveMany); each returned Result is bit-identical to an
 // independent SubmitSparseMatVec of that vector. bs may be nil (every b is
 // zero) or hold nil entries; otherwise len(bs) must equal len(xs).
 // Routing follows the single-vector sparse jobs' pattern affinity. The

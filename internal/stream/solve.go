@@ -40,10 +40,10 @@ type solvePool struct {
 
 // arenaSolveWorkspace returns the running shard's warm solve workspace for
 // array size w, building one on the shard's arena when the shard's pool
-// holds none for that size. The workspace shares the arena's PlanMemo with
+// holds none for that size. The workspace shares the arena's scratch with
 // the shard's pass jobs and survives arena Resets, so every later solve of
-// the same size on this shard is plan-warm while the size stays among the
-// pool's keptSolveWorkspaces most recently used. The hit path is one map
+// the same size on this shard is scratch-warm while the size stays among
+// the pool's keptSolveWorkspaces most recently used. The hit path is one map
 // lookup, one type assertion and a scan of the pool — no allocation.
 func arenaSolveWorkspace(ar *core.Arena, w int) *solve.Workspace {
 	p, _ := ar.Kept(solveKeepKey).(*solvePool)

@@ -9,17 +9,18 @@
 //
 // A Scheduler owns the fleet. Jobs are submitted asynchronously and routed
 // by shape affinity: problems of the same shape hash to the same shard,
-// whose private schedule.PlanMemo (inside its core.Arena) already holds the
-// compiled plan, so the steady state of a repeating-shape stream replays
-// plans without touching the global caches — and, on the Submit*Into
-// methods, without allocating at all. Sparse jobs extend the same idea to
-// data: they route by pattern affinity (shape plus the retained-block
-// pattern digest, sparse.PatternKey), so a repeating sparsity pattern
-// replays its shard's memoized pattern-keyed plan. Solve jobs extend it to the paper's
-// headline workload: a SubmitSolveOpts ticket runs the full direct solve
-// (BlockLU plus both triangular phases) on a warm solve.Workspace the
-// shard's arena pools for its recently used array sizes, so solve-as-a-service streams at the
-// same warm steady state as the pass jobs. Idle shards steal from sibling
+// whose core.Arena already holds transform storage and scratch sized for
+// the shape. Compiled plans come from the bounded process-wide caches of
+// internal/schedule, whose warm hits allocate nothing, so the steady state
+// of a repeating-shape stream on the Submit*Into methods allocates nothing
+// at all. Sparse jobs extend the same idea to data: they route by pattern
+// affinity (shape plus the retained-block pattern digest,
+// sparse.PatternKey), so a repeating sparsity pattern replays on the same
+// shard. Solve jobs extend it to the paper's headline workload: a
+// SubmitSolveOpts ticket runs the full direct solve (BlockLU plus both
+// triangular phases) on a warm solve.Workspace the shard's arena pools for
+// its recently used array sizes, so solve-as-a-service streams at the same
+// warm steady state as the pass jobs. Idle shards steal from sibling
 // queues, so affinity is a locality heuristic, never a load-balance
 // hazard.
 //
@@ -289,7 +290,8 @@ func (s *Scheduler) enqueue(p core.Pass, seq uint64, q QoS, shard int) error {
 type routeKey [5]int
 
 // shardOf hashes a job's route key onto a shard: same shape, same shard,
-// so the shard's plan memo already holds the compiled plan.
+// so the shard's arena already holds transform storage and scratch sized
+// for the shape (and, for solves, a warm workspace).
 func shardOf(shards int, k routeKey) int {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range k {

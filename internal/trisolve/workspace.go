@@ -6,11 +6,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/matrix"
+	"repro/internal/schedule"
 )
 
 // Workspace is the steady-state entry point of the dense triangular
 // solver: a reusable scratch set (rhs, packed diagonal bands, mirrors, a
-// plan memo) plus an optional pass executor. Its solves write into
+// scratch arena) plus an optional pass executor. Its solves write into
 // caller-provided buffers and allocate nothing once warmed on the compiled
 // engine.
 //
@@ -67,11 +68,10 @@ func NewWorkspaceExecutor(w int, exec *core.Executor) *Workspace {
 	}
 }
 
-// NewWorkspaceArena returns a serial workspace replaying its compiled
-// plans and drawing its pass scratch through the caller's arena instead of
-// a private one, so the workspace shares the arena's PlanMemo (a stream
-// shard keeps its solve workspaces warm on the same memo its pass jobs
-// use). The arena is shared, not owned; the workspace inherits its
+// NewWorkspaceArena returns a serial workspace drawing its pass scratch
+// through the caller's arena instead of a private one (a stream shard
+// keeps its solve workspaces on the same arena its pass jobs use). The
+// arena is shared, not owned; the workspace inherits its
 // goroutine-ownership contract and may Reset it freely between passes, so
 // nothing else drawn from the arena may be live across a workspace call.
 func NewWorkspaceArena(w int, ar *core.Arena) *Workspace {
@@ -100,7 +100,7 @@ func (tw *Workspace) SolveBandInto(dst matrix.Vector, l *matrix.Band, b matrix.V
 		copy(dst, res.X)
 		return res.T, nil
 	}
-	sch := tw.ar.Plans().TriSolveFor(n, tw.w)
+	sch := schedule.TriSolveFor(n, tw.w)
 	if n > 0 {
 		tw.lpack = matrix.ReuseVec(tw.lpack, n*tw.w)
 		dbt.PackTriBand(l, tw.w, tw.lpack)
@@ -228,7 +228,7 @@ func (tw *Workspace) solveDiagonal(dst matrix.Vector, l *matrix.Dense, lo, hi in
 			}
 		}
 	}
-	sch := tw.ar.Plans().TriSolveFor(d, w)
+	sch := schedule.TriSolveFor(d, w)
 	sch.Exec(tw.lpack, tw.rhs[lo:hi], dst[lo:hi])
 	return sch.T, nil
 }
